@@ -30,14 +30,12 @@
 // published model carries its own privacy audit (round-tripped by the
 // serving subsystem's /modelz endpoint).
 //
-// TrainCtx is the ONE training entry point: algorithm selection is an
+// TrainCtx is the ONE training entry point (TrainDistributed is the
+// same run on a coordinator/worker pool): algorithm selection is an
 // option (WithConvexity; the default picks Algorithm 2 for strongly
 // convex losses and Algorithm 1 otherwise), as are warm starts
 // (WithWarmStart), gradient perturbation (WithGradPerturb) and the
-// execution strategy. The legacy forms — Train and the per-algorithm
-// PrivateConvexPSGD / PrivateStronglyConvexPSGD — remain as deprecated
-// wrappers producing bit-identical results; new code should not use
-// them.
+// execution strategy (WithStrategy).
 //
 // Data can live out of core: OpenStoreDir / AppendStoreSegment manage
 // an append-only segment directory (immutable store files behind a
@@ -99,8 +97,6 @@ type (
 	// LossFunction is a convex per-example loss with its (L, β, γ)
 	// constants.
 	LossFunction = loss.Function
-	// TrainOptions configures the private bolt-on trainers.
-	TrainOptions = core.Options
 	// TrainOption is a functional option for TrainCtx (WithBudget,
 	// WithAccountant, WithStrategy, WithProgress, …).
 	TrainOption = core.Option
@@ -147,7 +143,7 @@ type (
 	Projector = projection.Projector
 	// ExecutionStrategy selects how training runs execute (see
 	// DESIGN.md §2): StrategySequential, StrategySharded or
-	// StrategyStreaming, set through TrainOptions.Strategy/Workers.
+	// StrategyStreaming, set through WithStrategy.
 	ExecutionStrategy = engine.Strategy
 	// Stream is a lazily generated dataset for the streaming strategy:
 	// rows are derived from (seed, index) on access and never
@@ -191,13 +187,13 @@ func NewLogisticLoss(lambda float64) LossFunction { return loss.NewLogistic(lamb
 // smoothing width h (the paper uses h = 0.1).
 func NewHuberSVMLoss(h, lambda float64) LossFunction { return loss.NewHuber(h, lambda, 0) }
 
-// Execution strategies for TrainOptions.Strategy, re-exported from the
+// Execution strategies for WithStrategy, re-exported from the
 // execution engine (internal/engine).
 const (
 	// StrategySequential is the paper's Algorithms 1–2 verbatim: one
 	// goroutine, one permutation (the default).
 	StrategySequential = engine.Sequential
-	// StrategySharded trains TrainOptions.Workers disjoint shards in
+	// StrategySharded trains WithStrategy's workers disjoint shards in
 	// parallel with per-epoch model averaging — the paper's multicore
 	// bolt-on scheme. Noise is calibrated for the averaged model; for
 	// strongly convex losses the bound equals the sequential one, so
@@ -343,10 +339,6 @@ func LedgerFromMeta(meta map[string]string) (l *Ledger, ok bool, err error) {
 // options and cancellable through ctx — every execution strategy polls
 // the context once per mini-batch update, so cancellation or deadline
 // expiry stops the run within one epoch slice with ctx.Err().
-//
-// Every other training form in this package (Train, PrivateConvexPSGD,
-// PrivateStronglyConvexPSGD) is a deprecated equivalent of a TrainCtx
-// call, kept bit-identical for existing callers.
 func TrainCtx(ctx context.Context, s Samples, f LossFunction, opts ...TrainOption) (*TrainResult, error) {
 	return core.TrainCtx(ctx, s, f, opts...)
 }
@@ -415,11 +407,6 @@ func WithRand(r *rand.Rand) TrainOption { return core.WithRand(r) }
 // they are produced: the exact risk would leak outside the budget.
 func WithProgress(fn func(epoch int, risk float64)) TrainOption { return core.WithProgress(fn) }
 
-// WithTrainOptions seeds the run from a full TrainOptions value — the
-// escape hatch for fields without a dedicated option (step family,
-// averaging, Tol, …). Place it before the other options.
-func WithTrainOptions(base TrainOptions) TrainOption { return core.WithOptions(base) }
-
 // WithAccounting names the composition rule the run is priced under
 // (AccountingSimple, AccountingAdvanced, AccountingRDP). With an
 // accountant attached the two must agree.
@@ -434,30 +421,6 @@ func WithAccounting(rule string) TrainOption { return core.WithAccounting(rule) 
 // σ̃ that fits the budget. Sequential-only; needs δ > 0.
 func WithGradPerturb(clip, noiseMultiplier float64) TrainOption {
 	return core.WithGradPerturb(clip, noiseMultiplier)
-}
-
-// Train runs the bolt-on private PSGD appropriate for the loss.
-//
-// Deprecated: use TrainCtx with functional options (bit-identical;
-// WithTrainOptions(opt) carries a full TrainOptions over).
-func Train(s Samples, f LossFunction, opt TrainOptions) (*TrainResult, error) {
-	return core.Train(s, f, opt)
-}
-
-// PrivateConvexPSGD is Algorithm 1 of the paper (convex losses).
-//
-// Deprecated: use TrainCtx with WithConvexity(ConvexityConvex)
-// (bit-identical).
-func PrivateConvexPSGD(s Samples, f LossFunction, opt TrainOptions) (*TrainResult, error) {
-	return core.PrivateConvexPSGD(s, f, opt)
-}
-
-// PrivateStronglyConvexPSGD is Algorithm 2 (strongly convex losses).
-//
-// Deprecated: use TrainCtx with WithConvexity(ConvexityStronglyConvex)
-// (bit-identical).
-func PrivateStronglyConvexPSGD(s Samples, f LossFunction, opt TrainOptions) (*TrainResult, error) {
-	return core.PrivateStronglyConvexPSGD(s, f, opt)
 }
 
 // Continual training (see DESIGN.md §12).
@@ -556,7 +519,7 @@ type (
 // dir, loading every model already published into it; dir == "" gives
 // an in-memory registry. Train-and-publish in three lines:
 //
-//	res, _ := boltondp.Train(train, f, opt)
+//	res, _ := boltondp.TrainCtx(ctx, train, f, opts...)
 //	reg, _ := boltondp.NewModelRegistry("registry")
 //	reg.Publish("fraud", &boltondp.LinearClassifier{W: res.W}, meta)
 //
@@ -626,8 +589,8 @@ func PrivateTune(d *Dataset, grid []TuningParams, budget Budget, train tuning.Tr
 // is checked before each candidate's training run, and when acct is
 // non-nil the tuner's own spend — the ε of the exponential-mechanism
 // pick — is reserved against it (fail-closed) before any work. Pass a
-// TrainFunc built from a TrainOptions carrying the same ctx (e.g. via
-// TrainCtx inside the closure) to make the candidate runs themselves
+// TrainFunc built with the same ctx (EngineTuningTrainFunc, or TrainCtx
+// inside the closure) to make the candidate runs themselves
 // cancellable too.
 func PrivateTuneCtx(ctx context.Context, d *Dataset, grid []TuningParams, budget Budget, acct *Accountant, train tuning.TrainFunc, r *rand.Rand) (*TuningResult, error) {
 	return tuning.PrivateCtx(ctx, d, grid, budget, acct, train, r)
@@ -638,14 +601,14 @@ func PublicTune(train, public *Dataset, grid []TuningParams, fit tuning.TrainFun
 	return tuning.Public(train, public, grid, fit)
 }
 
-// EngineTuningTrainFunc adapts Train (and through it the execution
-// engine) into a tuning TrainFunc for binary linear models: each grid
-// tuple's (k, b) become Passes/Batch, λ parameterizes the loss, and
-// base carries everything else — budget, strategy, randomness, and
-// (for PrivateTuneCtx) the context and accountant each candidate draws
-// from.
-func EngineTuningTrainFunc(newLoss func(lambda float64) LossFunction, base TrainOptions) tuning.TrainFunc {
-	return tuning.EngineTrainFunc(newLoss, base)
+// EngineTuningTrainFunc adapts TrainCtx (and through it the execution
+// engine) into a tuning TrainFunc for binary linear models: every
+// candidate trains under ctx, each grid tuple's (k, b) become
+// WithPasses/WithBatch, λ parameterizes the loss, and base carries
+// everything else — budget, strategy, randomness, and the accountant
+// each candidate draws from.
+func EngineTuningTrainFunc(ctx context.Context, newLoss func(lambda float64) LossFunction, base ...TrainOption) tuning.TrainFunc {
+	return tuning.EngineTrainFunc(ctx, newLoss, base...)
 }
 
 // Data.
@@ -713,33 +676,10 @@ const (
 	UDABST14         = bismarck.AlgBST14
 )
 
-// Parallel (shared-nothing) training.
-
 type (
-	// ParallelTrainConfig configures shared-nothing parallel training:
-	// P independent per-partition SGD aggregates merged by model
-	// averaging, Bismarck/MapReduce style.
-	ParallelTrainConfig = bismarck.ParallelTrainConfig
-	// ParallelTrainResult reports a parallel run.
-	ParallelTrainResult = bismarck.ParallelTrainResult
 	// SVRGConfig configures the variance-reduced optimizer.
 	SVRGConfig = sgd.SVRGConfig
 )
-
-// ParallelTrainInRDBMS partitions the table across Workers goroutines,
-// trains a PSGD model per partition with per-epoch model averaging
-// (the execution engine's Sharded strategy), and (for UDAOutputPerturb)
-// perturbs once with the parallel sensitivity Δ_part(m/P)/P — which for
-// strongly convex losses equals the sequential bound, making
-// parallelism privacy-free.
-//
-// Deprecated: kept as a thin wrapper for the in-RDBMS deployment
-// story. New code should call Train with TrainOptions{Strategy:
-// StrategySharded, Workers: P}, which accepts a *Table (or any
-// Samples) directly; see examples/parallel.
-func ParallelTrainInRDBMS(t *Table, f LossFunction, cfg ParallelTrainConfig) (*ParallelTrainResult, error) {
-	return bismarck.ParallelTrainUDA(t, f, cfg)
-}
 
 // RunSVRG runs the (noiseless) variance-reduced SVRG optimizer — a
 // non-adaptive algorithm in the sense of the paper's Definition 7 and

@@ -102,7 +102,7 @@ type TrainConfig struct {
 	Batch     int       // mini-batch size b (default 1)
 	Radius    float64   // projection radius (required for AlgBST14)
 	Tol       float64   // optional convergence threshold (model L2 move)
-	// PaperBatchSensitivity mirrors core.Options.PaperBatchSensitivity:
+	// PaperBatchSensitivity mirrors core.WithPaperBatchSensitivity:
 	// calibrate the strongly convex OutputPerturb noise to the paper's
 	// 2L/(γmb) instead of the sound 2L/(γm). For reproducing the
 	// paper's figures only.

@@ -1,10 +1,12 @@
 package bismarck
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"boltondp/internal/core"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
@@ -63,8 +65,8 @@ func TestPartitions(t *testing.T) {
 
 // Sharding a freshly loaded table whose tail page was never flushed
 // must work: Shard flushes pending rows exactly as At does, so a
-// direct engine.Run over the table — the migration path the
-// ParallelTrainUDA deprecation points at — sees every row.
+// direct engine.Run over the table — how sharded training reaches a
+// table — sees every row.
 func TestShardFlushesTailPage(t *testing.T) {
 	tab := buildTable(t, 255, 4, 30) // 255 rows never fill page-sized batches
 	f := loss.NewLogistic(1e-2, 0)
@@ -100,21 +102,46 @@ func TestSegmentView(t *testing.T) {
 	}
 }
 
-func TestParallelOneWorkerMatchesShape(t *testing.T) {
-	tab := buildTable(t, 400, 5, 3)
-	f := loss.NewLogistic(1e-2, 0)
-	res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 1, Algorithm: Noiseless, Passes: 3, Batch: 10,
-		Radius: 100, NoShuffle: true, Rand: rand.New(rand.NewSource(4)),
+// sharded runs the engine's noiseless Sharded strategy over a table —
+// the shared-nothing parallel UDA, merged by per-epoch averaging.
+func sharded(t *testing.T, tab *Table, f loss.Function, workers, passes, batch int, radius float64, seed int64) *engine.Result {
+	t.Helper()
+	p := f.Params()
+	res, err := engine.Run(tab, engine.Config{
+		Strategy: engine.Sharded,
+		Workers:  workers,
+		SGD: sgd.Config{
+			Loss: f, Step: sgd.StronglyConvexPaper(p.Beta, p.Gamma),
+			Passes: passes, Batch: batch, Radius: radius,
+			Rand: rand.New(rand.NewSource(seed)),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PartModels) != 1 {
-		t.Fatalf("%d partition models", len(res.PartModels))
+	return res
+}
+
+// privateSharded trains a table through the one private entry point at
+// Sharded(workers): core calibrates the averaged-model noise.
+func privateSharded(tab *Table, f loss.Function, workers, passes, batch int, radius float64, seed int64, extra ...core.Option) (*core.Result, error) {
+	opts := append([]core.Option{
+		core.WithStrategy(engine.Sharded, workers),
+		core.WithBudget(dp.Budget{Epsilon: 1}),
+		core.WithPasses(passes), core.WithBatch(batch), core.WithRadius(radius),
+		core.WithRand(rand.New(rand.NewSource(seed))),
+	}, extra...)
+	return core.TrainCtx(context.Background(), tab, f, opts...)
+}
+
+func TestParallelOneWorkerMatchesShape(t *testing.T) {
+	tab := buildTable(t, 400, 5, 3)
+	res := sharded(t, tab, loss.NewLogistic(1e-2, 0), 1, 3, 10, 100, 4)
+	if len(res.ShardModels) != 1 {
+		t.Fatalf("%d partition models", len(res.ShardModels))
 	}
 	// Merge of one model is that model.
-	if !vec.Equal(res.W, res.PartModels[0], 1e-12) {
+	if !vec.Equal(res.W, res.ShardModels[0], 1e-12) {
 		t.Error("P=1 merge differs from the single model")
 	}
 	if res.Updates != 3*40 {
@@ -124,14 +151,7 @@ func TestParallelOneWorkerMatchesShape(t *testing.T) {
 
 func TestParallelTrainsAccurately(t *testing.T) {
 	tab := buildTable(t, 2000, 5, 5)
-	f := loss.NewLogistic(1e-2, 0)
-	res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 4, Algorithm: Noiseless, Passes: 5, Batch: 10,
-		Radius: 100, NoShuffle: true, Rand: rand.New(rand.NewSource(6)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sharded(t, tab, loss.NewLogistic(1e-2, 0), 4, 5, 10, 100, 6)
 	correct := 0
 	for i := 0; i < tab.Len(); i++ {
 		x, y := tab.At(i)
@@ -147,13 +167,7 @@ func TestParallelTrainsAccurately(t *testing.T) {
 func TestParallelDeterministic(t *testing.T) {
 	run := func() []float64 {
 		tab := buildTable(t, 300, 4, 7)
-		f := loss.NewLogistic(1e-2, 0)
-		res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-			Workers: 3, Algorithm: OutputPerturb,
-			Budget: dp.Budget{Epsilon: 1},
-			Passes: 2, Batch: 5, Radius: 100, NoShuffle: true,
-			Rand: rand.New(rand.NewSource(8)),
-		})
+		res, err := privateSharded(tab, loss.NewLogistic(1e-2, 0), 3, 2, 5, 100, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,17 +179,13 @@ func TestParallelDeterministic(t *testing.T) {
 }
 
 func TestParallelSensitivityFormula(t *testing.T) {
-	// Strongly convex: Δ_parallel = 2L/(γ·minPart·b)/P; with equal
+	// Strongly convex: Δ_parallel = 2L/(γ·minPart)/P; with equal
 	// partitions minPart = m/P so this equals the sequential 2L/(γm).
 	tab := buildTable(t, 1000, 4, 9)
 	lambda := 1e-2
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
-	res, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 5, Algorithm: OutputPerturb, Budget: dp.Budget{Epsilon: 1},
-		Passes: 2, Batch: 10, Radius: 1 / lambda, NoShuffle: true,
-		Rand: rand.New(rand.NewSource(10)),
-	})
+	res, err := privateSharded(tab, f, 5, 2, 10, 1/lambda, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,26 +199,28 @@ func TestParallelSensitivityFormula(t *testing.T) {
 	}
 }
 
+// Sharded training over a table refuses what it cannot calibrate or
+// run: gradient perturbation (its per-step accounting assumes one
+// update stream — the white-box algorithms' problem under
+// partitioning), more partitions than rows, a missing randomness
+// source, an invalid budget and an empty table.
 func TestParallelRejects(t *testing.T) {
 	tab := buildTable(t, 100, 3, 11)
-	f := loss.NewLogistic(0, 0)
-	r := rand.New(rand.NewSource(12))
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{Workers: 2, Algorithm: AlgSCS13, Rand: r}); err == nil {
-		t.Error("white-box algorithm accepted")
+	f := loss.NewLogistic(1e-2, 0)
+	if _, err := privateSharded(tab, f, 2, 1, 1, 100, 12, core.WithGradPerturb(1, 1),
+		core.WithBudget(dp.Budget{Epsilon: 1, Delta: 1e-6})); err == nil {
+		t.Error("gradient perturbation accepted under Sharded")
 	}
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{Workers: 0, Rand: r}); err == nil {
-		t.Error("0 workers accepted")
+	if _, err := privateSharded(tab, f, 101, 1, 1, 100, 12); err == nil {
+		t.Error("more partitions than rows accepted")
 	}
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{Workers: 2}); err == nil {
+	if _, err := privateSharded(tab, f, 2, 1, 1, 100, 12, core.WithRand(nil)); err == nil {
 		t.Error("nil rand accepted")
 	}
-	if _, err := ParallelTrainUDA(tab, f, ParallelTrainConfig{
-		Workers: 2, Algorithm: OutputPerturb, Rand: r,
-	}); err == nil {
+	if _, err := privateSharded(tab, f, 2, 1, 1, 100, 12, core.WithBudget(dp.Budget{})); err == nil {
 		t.Error("invalid budget accepted")
 	}
-	empty := NewMemTable("e", 3)
-	if _, err := ParallelTrainUDA(empty, f, ParallelTrainConfig{Workers: 1, Rand: r}); err == nil {
+	if _, err := privateSharded(NewMemTable("e", 3), f, 1, 1, 1, 100, 12); err == nil {
 		t.Error("empty table accepted")
 	}
 }
@@ -228,20 +240,8 @@ func TestParallelDiskTableSmallPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := loss.NewLogistic(1e-2, 0)
-	cfg := ParallelTrainConfig{
-		Workers: 4, Algorithm: Noiseless, Passes: 3, Batch: 5,
-		Radius: 100, NoShuffle: true,
-	}
-	cfg.Rand = rand.New(rand.NewSource(21))
-	rm, err := ParallelTrainUDA(mem, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Rand = rand.New(rand.NewSource(21))
-	rd, err := ParallelTrainUDA(disk, f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rm := sharded(t, mem, f, 4, 3, 5, 100, 21)
+	rd := sharded(t, disk, f, 4, 3, 5, 100, 21)
 	if !vec.Equal(rm.W, rd.W, 1e-12) {
 		t.Error("disk-backed parallel model differs from memory-backed one")
 	}
@@ -251,8 +251,8 @@ func TestParallelDiskTableSmallPool(t *testing.T) {
 }
 
 // The empirical parallel-sensitivity property: replace one row, rerun
-// with the same seeds, and the merged models must stay within the
-// claimed Δ_parallel.
+// the private Sharded(P) training with the same seeds, and the merged
+// pre-noise models must stay within the Δ₂ the run was calibrated to.
 func TestParallelEmpiricalSensitivityProperty(t *testing.T) {
 	lambda := 0.05
 	f := loss.NewLogistic(lambda, 0)
@@ -286,23 +286,19 @@ func TestParallelEmpiricalSensitivityProperty(t *testing.T) {
 		nx := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		vec.Normalize(nx)
 
-		cfg := ParallelTrainConfig{
-			Workers: workers, Algorithm: Noiseless, Passes: 2, Batch: 2,
-			Radius: 1 / lambda, NoShuffle: true,
-			Rand: rand.New(rand.NewSource(500 + seed)),
-		}
-		r1, err := ParallelTrainUDA(build(alt, rows[alt], ys[alt]), f, cfg)
+		r1, err := privateSharded(build(alt, rows[alt], ys[alt]), f, workers, 2, 2, 1/lambda, 500+seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Rand = rand.New(rand.NewSource(500 + seed)) // same worker seeds
-		r2, err := ParallelTrainUDA(build(alt, nx, math.Copysign(1, r.NormFloat64())), f, cfg)
+		r2, err := privateSharded(build(alt, nx, math.Copysign(1, r.NormFloat64())), f, workers, 2, 2, 1/lambda, 500+seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := dp.SensitivityStronglyConvex(p.L, p.Gamma, m/workers) / float64(workers)
-		if dist := vec.Dist(r1.W, r2.W); dist > bound+1e-9 {
-			t.Fatalf("seed %d: parallel empirical sensitivity %v exceeds bound %v", seed, dist, bound)
+		if want := dp.SensitivityStronglyConvex(p.L, p.Gamma, m/workers) / float64(workers); r1.Sensitivity != want {
+			t.Fatalf("seed %d: calibrated Δ₂ %v, want %v", seed, r1.Sensitivity, want)
+		}
+		if dist := vec.Dist(r1.NonPrivate, r2.NonPrivate); dist > r1.Sensitivity+1e-9 {
+			t.Fatalf("seed %d: parallel empirical sensitivity %v exceeds calibrated Δ₂ %v", seed, dist, r1.Sensitivity)
 		}
 	}
 }

@@ -10,8 +10,8 @@
 // (engine.Run with no GradNoise hook) and perturbs only the returned
 // model, with noise calibrated by the sensitivity calculus in
 // internal/dp. The engine strategy — sequential, sharded across
-// workers, or streaming — is a run-time choice (Options.Strategy), and
-// the calibration here is the only place that has to know about it:
+// workers, or streaming — is a run-time choice (WithStrategy), and
+// calibrate is the only place that has to know about it:
 // sharded runs evaluate the per-shard bound at the smallest shard and
 // divide by the worker count (see dp.SensitivityShardedStronglyConvex),
 // streaming runs are pinned to a single pass. Swapping in any other
@@ -21,17 +21,14 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
-	"boltondp/internal/account"
+	"boltondp/internal/dist"
 	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
-	"boltondp/internal/rng"
 	"boltondp/internal/sgd"
 )
 
@@ -39,11 +36,12 @@ import (
 type StepKind int
 
 const (
-	// StepConstant is η_t = η (Algorithm 1; default η = 1/√m).
+	// StepConstant is η_t = η = min(1/√m, 2/β) (Algorithm 1, Table 4's
+	// default clamped to Lemma 1.1's validity boundary).
 	StepConstant StepKind = iota
-	// StepDecreasing is η_t = 2/(β(t+m^c)) (Corollary 2).
+	// StepDecreasing is η_t = 2/(β(t+m^c)), c = 0.5 (Corollary 2).
 	StepDecreasing
-	// StepSqrt is η_t = 2/(β(√t+m^c)) (Corollary 3).
+	// StepSqrt is η_t = 2/(β(√t+m^c)), c = 0.5 (Corollary 3).
 	StepSqrt
 )
 
@@ -95,268 +93,6 @@ func (c Convexity) String() string {
 	}
 }
 
-// Options configures a private PSGD run. The zero value plus a Budget
-// and a Rand is usable: one pass, batch 1, paper-default step sizes.
-type Options struct {
-	// Budget is the privacy guarantee to enforce. Delta = 0 gives pure
-	// ε-DP (Theorem 4 / 5); Delta > 0 gives (ε,δ)-DP (Theorem 6 / 7).
-	Budget dp.Budget
-
-	// Passes is k, the number of passes over the data (default 1).
-	Passes int
-
-	// Batch is the mini-batch size b (default 1). The convex
-	// constant-step sensitivity improves by the factor b (§3.2.3); for
-	// the other schedules see the batch-aware forms in internal/dp.
-	Batch int
-
-	// Eta is the constant step size for the convex algorithm. Zero
-	// means the paper's default 1/√m (Table 4). It is clamped to 2/β,
-	// the validity boundary of Lemma 1.1; the clamped value is used in
-	// the sensitivity too, so privacy never degrades.
-	Eta float64
-
-	// Step selects the convex step-size family. Ignored by the
-	// strongly convex algorithm, which always uses min(1/β, 1/(γt)).
-	Step StepKind
-
-	// C is the m^c offset exponent for StepDecreasing/StepSqrt
-	// (default 0.5). Must lie in [0, 1).
-	C float64
-
-	// Radius constrains the hypothesis space to the L2 ball of this
-	// radius via projected updates (rule (7)). Non-positive means
-	// unconstrained. The paper uses R = 1/λ for strongly convex runs.
-	Radius float64
-
-	// Average returns the uniform iterate average instead of the last
-	// iterate (Lemma 10: never hurts sensitivity).
-	Average bool
-
-	// AverageTail returns the average of the last ⌈ln T⌉ iterates — the
-	// other scheme Lemma 10 covers. Mutually exclusive with Average.
-	AverageTail bool
-
-	// FreshPerm resamples the permutation each pass (§3.2.3).
-	FreshPerm bool
-
-	// PaperBatchSensitivity calibrates the strongly convex noise to the
-	// paper's Δ₂ = 2L/(γmb) (§3.2.3's blanket factor-b claim applied to
-	// Algorithm 2). Our analysis and brute-force neighboring-dataset
-	// runs show that bound is violated for b > 1 (see the note on
-	// dp.SensitivityStronglyConvex), so the default is the sound
-	// b-independent Δ₂ = 2L/(γm). Set this only to reproduce the
-	// paper's reported figures; do not rely on it for real privacy.
-	PaperBatchSensitivity bool
-
-	// Tol enables the strongly-convex "oblivious k" strategy of §4.3:
-	// run until the per-pass risk decrease falls below Tol or Passes is
-	// reached. Only legal for the strongly convex algorithm, whose
-	// sensitivity does not depend on k; the convex constructor rejects
-	// it because its noise must be fixed in advance.
-	Tol float64
-
-	// Strategy selects the execution-engine strategy (internal/engine):
-	// Sequential (the default — Algorithms 1–2 verbatim), Sharded
-	// (Workers disjoint shards with per-epoch model averaging; noise is
-	// calibrated for the averaged model), or Streaming (one in-order
-	// pass, the online scenario; Passes must be ≤ 1).
-	Strategy engine.Strategy
-
-	// Workers is the shard count for the Sharded strategy (default 1;
-	// one worker is executed exactly as Sequential). Setting Workers > 1
-	// with any other strategy is an error.
-	Workers int
-
-	// KernelWorkers is the intra-batch parallelism degree of the SGD
-	// kernel (sgd.Config.KernelWorkers; 0 or 1 = sequential). Unlike
-	// Workers it changes neither the execution strategy nor the
-	// sensitivity calculus: the parallel kernel is bit-identical to the
-	// sequential one for every value, so no noise recalibration exists
-	// or is needed. Valid under every strategy.
-	KernelWorkers int
-
-	// Rand is the randomness source for the permutation(s), the worker
-	// seeds and the noise.
-	Rand *rand.Rand
-
-	// Ctx, when non-nil, makes the run cancellable: the execution
-	// engine polls it once per mini-batch update (every strategy), and
-	// Train returns ctx.Err() within one epoch slice of cancellation.
-	// Prefer TrainCtx, which sets it from its first argument.
-	Ctx context.Context
-
-	// Accountant, when non-nil, is the privacy-budget accountant this
-	// run draws from: Budget is reserved against it (under SpendLabel)
-	// before any training work, and an over-budget request fails closed
-	// with account.ErrOverdraw. When Budget is the zero value, the
-	// entire remaining budget is drawn.
-	Accountant *account.Accountant
-
-	// Accounting names the composition rule ("simple", "advanced",
-	// "rdp") the run is priced under. Empty defers to the accountant's
-	// rule (or "simple" stand-alone; "rdp" for gradient perturbation,
-	// the rule that strategy exists for). When both Accounting and
-	// Accountant are set they must agree — one composition authority
-	// per run.
-	Accounting string
-
-	// GradPerturb, when non-nil, switches Train to the
-	// gradient-perturbation strategy (PrivateGradPerturbPSGD): per-step
-	// clipped-gradient noise accounted through the subsampled-Gaussian
-	// composer instead of the paper's single output perturbation.
-	GradPerturb *GradPerturbSpec
-
-	// SpendLabel is the accountant ledger label for this run's
-	// reservation. Empty means "train(<loss name>)".
-	SpendLabel string
-
-	// Convexity selects the algorithm for Train/TrainCtx dispatch. The
-	// zero value derives it from the loss (Algorithm 2 iff strongly
-	// convex). Ignored when GradPerturb is set.
-	Convexity Convexity
-
-	// W0 is the warm-start point: the iterate the engine starts from
-	// instead of the origin. It must have the data's dimension. The
-	// paper's sensitivity bounds hold for any data-independent common
-	// start, and a previously *released* private model is safe by
-	// post-processing — which is exactly how ContinualTrainer uses it.
-	// Never warm-start from an unreleased (non-private) iterate.
-	W0 []float64
-
-	// Progress, when non-nil, is called after every epoch (pass, or
-	// sharded merge epoch) with the 1-based epoch number and the
-	// empirical risk of the current (pre-noise) iterate. Setting it
-	// costs one extra pass over the data per epoch. Gradient
-	// perturbation rejects it: there the exact risk is a data-dependent
-	// release outside the accounted budget (output perturbation keeps
-	// the iterates on the trusted side until the single noisy release,
-	// so the hook is a trusted-side debug tap there).
-	Progress func(epoch int, risk float64)
-}
-
-func (o *Options) withDefaults(m int) Options {
-	out := *o
-	if out.Passes == 0 {
-		out.Passes = 1
-	}
-	if out.Batch == 0 {
-		out.Batch = 1
-	}
-	if out.C == 0 {
-		out.C = 0.5
-	}
-	if out.Eta == 0 {
-		out.Eta = 1 / math.Sqrt(float64(m))
-	}
-	return out
-}
-
-func (o *Options) validate() error {
-	if err := o.Budget.Validate(); err != nil {
-		return err
-	}
-	if o.Passes < 0 || o.Batch < 0 {
-		return fmt.Errorf("core: negative Passes (%d) or Batch (%d)", o.Passes, o.Batch)
-	}
-	if o.C < 0 || o.C >= 1 {
-		return fmt.Errorf("core: C must be in [0,1), got %v", o.C)
-	}
-	if o.Rand == nil {
-		return errors.New("core: Options.Rand is required")
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: negative Workers (%d)", o.Workers)
-	}
-	if o.KernelWorkers < 0 {
-		return fmt.Errorf("core: negative KernelWorkers (%d)", o.KernelWorkers)
-	}
-	if o.Workers > 1 && o.Strategy != engine.Sharded {
-		return fmt.Errorf("core: Workers=%d requires the Sharded strategy, got %v", o.Workers, o.Strategy)
-	}
-	if o.Convexity < ConvexityAuto || o.Convexity > ConvexityStronglyConvex {
-		return fmt.Errorf("core: unknown Convexity %v", o.Convexity)
-	}
-	if _, err := o.accountingRule(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// shardSize returns the dataset size the step schedule and the
-// per-shard sensitivity are evaluated at: the smallest shard for
-// Sharded runs (the smallest shard has the largest bound), m otherwise.
-func (o *Options) shardSize(m int) (int, error) {
-	if o.Strategy != engine.Sharded || o.Workers <= 1 {
-		return m, nil
-	}
-	return engine.ShardSize(m, o.Workers)
-}
-
-// effWorkers is the averaging divisor the sharded sensitivity calculus
-// applies (1 for everything but a multi-worker Sharded run).
-func (o *Options) effWorkers() int {
-	if o.Strategy == engine.Sharded && o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
-}
-
-// checkStreaming enforces the single-pass constraint of the streaming
-// strategy, whose sensitivity is calibrated for exactly one pass.
-func (o *Options) checkStreaming() error {
-	if o.Strategy == engine.Streaming && o.Passes != 1 {
-		return fmt.Errorf("core: Streaming execution is single-pass; got Passes=%d (leave Passes at 0 or set it to 1)", o.Passes)
-	}
-	return nil
-}
-
-// fillBudget resolves a zero Budget against the accountant (draw
-// everything that remains). Must run before validate, which rejects a
-// zero budget. An exhausted accountant fails closed here with
-// ErrOverdraw — the same error identity every other over-budget path
-// reports — rather than leaking a zero-ε validation error.
-func (o *Options) fillBudget() error {
-	if o.Accountant == nil || o.Budget != (dp.Budget{}) {
-		return nil
-	}
-	rem := o.Accountant.Remaining()
-	if rem.Epsilon <= 0 {
-		return fmt.Errorf("%w: drawing the remainder of an exhausted accountant (total %v)",
-			account.ErrOverdraw, o.Accountant.Total())
-	}
-	o.Budget = rem
-	return nil
-}
-
-// reserveBudget debits the run's budget from its accountant, when one
-// is attached. Called after all parameter validation and before the
-// engine touches a single row, so an over-budget request fails closed
-// with no training work done. Reservations are never refunded: the
-// ledger records intent to release, the conservative reading of simple
-// composition (a failed run after this point still forfeits its spend).
-//
-// The reservation is typed so the accountant's composition rule can
-// price it tightly: a pure release as an ε-DP event (advanced/RDP give
-// it a sublinear composed cost), an approximate one as the Gaussian
-// mechanism at the multiplier the calibration in dp.Budget.Perturb
-// actually uses. Under the simple rule both downgrade to the plain
-// (ε, δ) entry this method always recorded — bit-identical ledgers.
-func (o *Options) reserveBudget(f loss.Function) error {
-	if o.Accountant == nil {
-		return nil
-	}
-	label := o.SpendLabel
-	if label == "" {
-		label = "train(" + f.Name() + ")"
-	}
-	if o.Budget.Pure() {
-		return o.Accountant.ReservePure(label, o.Budget.Epsilon)
-	}
-	return o.Accountant.ReserveGaussian(label,
-		rng.GaussianSigma(1, o.Budget.Epsilon, o.Budget.Delta), 1, o.Budget)
-}
-
 // Result reports one private training run.
 type Result struct {
 	// W is the differentially private model — the only field safe to
@@ -381,213 +117,161 @@ type Result struct {
 	Passes  int
 }
 
-// PrivateConvexPSGD runs Algorithm 1 directly.
-//
-// Deprecated: call TrainCtx with WithConvexity(ConvexityConvex); this
-// wrapper remains for compatibility and is bit-identical to that form.
-func PrivateConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return privateConvexPSGD(s, f, opt)
+// paperC is the m^c offset exponent of the decreasing and square-root
+// convex schedules: the paper's c = 0.5 (Corollaries 2–3).
+const paperC = 0.5
+
+// calibration is everything a run's privacy depends on, decided in one
+// place: the options with the budget drawn and the paper defaults
+// resolved, the step schedule in its wire form (the in-process and the
+// distributed executors both build it), and the Δ₂ the output noise is
+// scaled to.
+type calibration struct {
+	options
+	step dist.StepSpec
+	sens float64
 }
 
-// privateConvexPSGD is Algorithm 1 (plus extensions): k-pass PSGD with
-// the selected convex step family, output-perturbed with sensitivity
+// calibrate is the only code that decides a run's calibration. It
+// draws the budget, validates the options, picks the algorithm —
+// gradient perturbation, else Algorithm 2 when Convexity forces it or
+// (under ConvexityAuto) the loss is strongly convex, else Algorithm 1 —
+// resolves the defaults at n (the smallest shard under Sharded(P), m
+// otherwise), clamps the batch to n as the engine does, and returns the
+// step schedule with its sensitivity:
 //
-//	Δ₂ = 2kLη/b                               (constant, Corollary 1)
-//	Δ₂ = (4L/β)(1/(b·m^c) + ln k/m)           (decreasing, Corollary 2, batch-aware)
-//	Δ₂ = (4L/(bβ))Σ_j 1/√(j·m/b+1+m^c)        (square-root, Corollary 3, batch-aware)
+//	Δ₂ = 2kLη/(bP)                          (convex constant, Corollary 1)
+//	Δ₂ = (4L/β)(1/(b·n^c) + ln k/n)/P        (convex decreasing, Corollary 2, batch-aware)
+//	Δ₂ = (4L/(bβ))Σ_j 1/√(j·n/b+1+n^c)/P     (convex square-root, Corollary 3, batch-aware)
+//	Δ₂ = 2L/(γnP)                            (strongly convex, Lemma 8, sound batch-aware form)
 //
-// under Options.Budget. Under the Sharded strategy the schedule and the
-// bounds above are evaluated at the smallest shard size and divided by
-// the worker count (the averaged-model sensitivity); under Streaming,
-// k is pinned to 1. The loss must be convex (γ may be 0; a strongly
-// convex loss is allowed but Algorithm 2 gives strictly less noise).
-func privateConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	if err := opt.fillBudget(); err != nil {
-		return nil, err
+// with η = min(1/√n, 2/β) (Table 4's default clamped to Lemma 1.1's
+// validity boundary) and c = 0.5. For equal shards the strongly convex
+// bound is exactly the sequential 2L/(γm): parallelism is privacy-free
+// (the paper's multicore punchline). Under Streaming, k is pinned to 1.
+// Only Algorithm 2's Δ₂ is independent of k, so only it admits Tol
+// early stopping (§4.3). Gradient perturbation reuses the convex step
+// families — there the clip, not the schedule, bounds sensitivity — and
+// reports the per-step Δ₂ = 2·clip.
+func calibrate(o options, f loss.Function, m int) (calibration, error) {
+	if err := o.fillBudget(); err != nil {
+		return calibration{}, err
 	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Tol > 0 {
-		return nil, errors.New("core: Tol-based early stopping is not private in the convex case (noise depends on k); fix Passes instead")
-	}
-	m := s.Len()
-	if m == 0 {
-		return nil, errors.New("core: empty training set")
-	}
-	n, err := opt.shardSize(m)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.withDefaults(n) // paper defaults at the per-shard size
-	if err := o.checkStreaming(); err != nil {
-		return nil, err
+	if err := o.validate(); err != nil {
+		return calibration{}, err
 	}
 	p := f.Params()
-	workers := o.effWorkers()
+	strongly := false
+	switch {
+	case o.GradPerturb != nil:
+		if err := o.checkGradPerturb(); err != nil {
+			return calibration{}, err
+		}
+	case o.Convexity == ConvexityStronglyConvex || o.Convexity == ConvexityAuto && p.StronglyConvex():
+		if !p.StronglyConvex() {
+			return calibration{}, fmt.Errorf("core: loss %q is not strongly convex (γ=0); use the convex algorithm (WithConvexity(ConvexityConvex))", f.Name())
+		}
+		strongly = true
+	case o.Tol > 0:
+		return calibration{}, errors.New("core: Tol-based early stopping is not private in the convex case (noise depends on k); fix Passes instead")
+	}
+	if m == 0 {
+		return calibration{}, errors.New("core: empty training set")
+	}
+	n, err := o.shardSize(m)
+	if err != nil {
+		return calibration{}, err
+	}
+	if o.Passes == 0 {
+		o.Passes = 1
+	}
+	if o.Batch == 0 {
+		o.Batch = 1
+	}
+	if err := o.checkStreaming(); err != nil {
+		return calibration{}, err
+	}
 	if o.Batch > n {
 		o.Batch = n // mirror the engine's clamp so Δ₂ is not over-divided
 	}
 
-	var step sgd.Schedule
-	var sens float64
-	switch o.Step {
-	case StepConstant:
-		eta := math.Min(o.Eta, 2/p.Beta) // Lemma 1.1 validity
-		step = sgd.Constant(eta)
-		sens = dp.SensitivityShardedConvexConstant(p.L, eta, o.Passes, o.Batch, workers)
-	case StepDecreasing:
-		step = sgd.DecreasingConvex(p.Beta, n, o.C)
-		sens = dp.SensitivityShardedConvexDecreasing(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
-	case StepSqrt:
-		step = sgd.SqrtConvex(p.Beta, n, o.C)
-		sens = dp.SensitivityShardedConvexSqrt(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
+	c := calibration{options: o}
+	workers := o.effWorkers()
+	switch {
+	case strongly:
+		c.step = dist.StepSpec{Kind: dist.StepStronglyConvex, Beta: p.Beta, Gamma: p.Gamma}
+		if o.PaperBatchSensitivity {
+			c.sens = dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, o.Batch) / float64(workers)
+		} else {
+			c.sens = dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers)
+		}
+	case o.Step == StepConstant:
+		eta := math.Min(1/math.Sqrt(float64(n)), 2/p.Beta)
+		c.step = dist.StepSpec{Kind: dist.StepConstant, Eta: eta}
+		c.sens = dp.SensitivityShardedConvexConstant(p.L, eta, o.Passes, o.Batch, workers)
+	case o.Step == StepDecreasing:
+		c.step = dist.StepSpec{Kind: dist.StepDecreasing, Beta: p.Beta, M: n, C: paperC}
+		c.sens = dp.SensitivityShardedConvexDecreasing(p.L, p.Beta, o.Passes, n, o.Batch, paperC, workers)
+	case o.Step == StepSqrt:
+		c.step = dist.StepSpec{Kind: dist.StepSqrt, Beta: p.Beta, M: n, C: paperC}
+		c.sens = dp.SensitivityShardedConvexSqrt(p.L, p.Beta, o.Passes, n, o.Batch, paperC, workers)
 	default:
-		return nil, fmt.Errorf("core: unknown StepKind %v", o.Step)
+		return calibration{}, fmt.Errorf("core: unknown StepKind %v", o.Step)
 	}
+	if o.GradPerturb != nil {
+		c.sens = 2 * o.GradPerturb.Clip
+	}
+	return c, nil
+}
 
-	if err := o.reserveBudget(f); err != nil {
+// train runs one calibrated job on the in-process engine: the engine
+// is a black box (no GradNoise hook) and only its returned model is
+// perturbed — except under gradient perturbation, which replaces the
+// engine's batching and noises every step instead.
+func train(s sgd.Samples, f loss.Function, o options) (*Result, error) {
+	c, err := calibrate(o, f, s.Len())
+	if err != nil {
+		return nil, err
+	}
+	step, err := c.step.Build()
+	if err != nil {
+		return nil, err
+	}
+	if c.GradPerturb != nil {
+		return gradPerturb(s, f, c, step)
+	}
+	if err := c.reserveBudget(f); err != nil {
 		return nil, err
 	}
 	res, err := engine.Run(s, engine.Config{
-		Strategy: o.Strategy,
-		Workers:  o.Workers,
+		Strategy: c.Strategy,
+		Workers:  c.Workers,
 		SGD: sgd.Config{
 			Loss:          f,
 			Step:          step,
-			Passes:        o.Passes,
-			Batch:         o.Batch,
-			Radius:        o.Radius,
-			Average:       o.Average,
-			AverageTail:   o.AverageTail,
-			FreshPerm:     o.FreshPerm,
-			KernelWorkers: o.KernelWorkers,
-			Rand:          o.Rand,
-			Ctx:           o.Ctx,
-			Progress:      o.Progress,
-			W0:            o.W0,
+			Passes:        c.Passes,
+			Batch:         c.Batch,
+			Radius:        c.Radius,
+			Average:       c.Average,
+			AverageTail:   c.AverageTail,
+			FreshPerm:     c.FreshPerm,
+			KernelWorkers: c.KernelWorkers,
+			Rand:          c.Rand,
+			Tol:           c.Tol,
+			Ctx:           c.Ctx,
+			Progress:      c.Progress,
+			W0:            c.W0,
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return perturb(&res.Result, o, sens)
-}
-
-// PrivateStronglyConvexPSGD runs Algorithm 2 directly.
-//
-// Deprecated: call TrainCtx with WithConvexity(ConvexityStronglyConvex);
-// this wrapper remains for compatibility and is bit-identical to that
-// form.
-func PrivateStronglyConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return privateStronglyConvexPSGD(s, f, opt)
-}
-
-// privateStronglyConvexPSGD is Algorithm 2 (plus extensions): k-pass
-// PSGD at η_t = min(1/β, 1/(γt)), output-perturbed with
-// Δ₂ = 2L/(γm) (Lemma 8, sound batch-aware form) — independent of k,
-// so Options.Tol early
-// stopping is allowed (§4.3 "the number of passes k is oblivious to
-// private SGD"). Under the Sharded strategy the bound is evaluated at
-// the smallest shard and divided by the worker count, which for equal
-// shards is exactly the sequential 2L/(γm): parallelism is privacy-free
-// (the paper's multicore punchline). The loss must be γ-strongly
-// convex.
-func privateStronglyConvexPSGD(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	if err := opt.fillBudget(); err != nil {
-		return nil, err
-	}
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	m := s.Len()
-	if m == 0 {
-		return nil, errors.New("core: empty training set")
-	}
-	p := f.Params()
-	if !p.StronglyConvex() {
-		return nil, fmt.Errorf("core: loss %q is not strongly convex (γ=0); use the convex algorithm (WithConvexity(ConvexityConvex))", f.Name())
-	}
-	n, err := opt.shardSize(m)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.withDefaults(n)
-	if err := o.checkStreaming(); err != nil {
-		return nil, err
-	}
-	workers := o.effWorkers()
-	if o.Batch > n {
-		o.Batch = n // mirror the engine's clamp so the paper-batch Δ₂ is not over-divided
-	}
-
-	if err := o.reserveBudget(f); err != nil {
-		return nil, err
-	}
-	res, err := engine.Run(s, engine.Config{
-		Strategy: o.Strategy,
-		Workers:  o.Workers,
-		SGD: sgd.Config{
-			Loss:          f,
-			Step:          sgd.StronglyConvexPaper(p.Beta, p.Gamma),
-			Passes:        o.Passes,
-			Batch:         o.Batch,
-			Radius:        o.Radius,
-			Average:       o.Average,
-			AverageTail:   o.AverageTail,
-			FreshPerm:     o.FreshPerm,
-			KernelWorkers: o.KernelWorkers,
-			Rand:          o.Rand,
-			Tol:           o.Tol,
-			Ctx:           o.Ctx,
-			Progress:      o.Progress,
-			W0:            o.W0,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sens float64
-	if o.PaperBatchSensitivity {
-		sens = dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, o.Batch) / float64(workers)
-	} else {
-		sens = dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers)
-	}
-	return perturb(&res.Result, o, sens)
-}
-
-// Train runs one private training job with a struct-literal Options.
-//
-// Deprecated: call TrainCtx, the one documented entry point; this
-// wrapper remains for compatibility and is bit-identical to
-// TrainCtx(opt.Ctx, s, f, ...) with the equivalent options.
-func Train(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	return train(s, f, opt)
-}
-
-// train dispatches to the applicable algorithm: gradient perturbation
-// when Options.GradPerturb is set, else by Options.Convexity —
-// Algorithm 2 when forced or (under ConvexityAuto) when the loss is
-// strongly convex, Algorithm 1 otherwise.
-func train(s sgd.Samples, f loss.Function, opt Options) (*Result, error) {
-	if opt.GradPerturb != nil {
-		return PrivateGradPerturbPSGD(s, f, opt)
-	}
-	switch opt.Convexity {
-	case ConvexityConvex:
-		return privateConvexPSGD(s, f, opt)
-	case ConvexityStronglyConvex:
-		return privateStronglyConvexPSGD(s, f, opt)
-	}
-	if f.Params().StronglyConvex() {
-		return privateStronglyConvexPSGD(s, f, opt)
-	}
-	return privateConvexPSGD(s, f, opt)
+	return perturb(&res.Result, c.options, c.sens)
 }
 
 // perturb applies the output perturbation step (lines 3–5 of
 // Algorithms 1–2) to the black-box SGD result.
-func perturb(res *sgd.Result, o Options, sens float64) (*Result, error) {
+func perturb(res *sgd.Result, o options, sens float64) (*Result, error) {
 	model := res.Model()
 	private, err := o.Budget.Perturb(o.Rand, model, sens)
 	if err != nil {

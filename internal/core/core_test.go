@@ -33,11 +33,12 @@ func TestPrivateConvexPSGDBasic(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	s := separable(r, 2000, 5)
 	f := loss.NewLogistic(0, 0)
-	res, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 2,
-		Batch:  50,
-		Rand:   r,
+	res, err := train(s, f, options{
+		Convexity: ConvexityConvex,
+		Budget:    dp.Budget{Epsilon: 1},
+		Passes:    2,
+		Batch:     50,
+		Rand:      r,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +70,12 @@ func TestPrivateConvexStepFamilies(t *testing.T) {
 	s := separable(r, 500, 4)
 	f := loss.NewLogistic(0, 0)
 	for _, kind := range []StepKind{StepConstant, StepDecreasing, StepSqrt} {
-		res, err := PrivateConvexPSGD(s, f, Options{
-			Budget: dp.Budget{Epsilon: 1},
-			Passes: 3,
-			Step:   kind,
-			Rand:   r,
+		res, err := train(s, f, options{
+			Convexity: ConvexityConvex,
+			Budget:    dp.Budget{Epsilon: 1},
+			Passes:    3,
+			Step:      kind,
+			Rand:      r,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -83,8 +85,9 @@ func TestPrivateConvexStepFamilies(t *testing.T) {
 		}
 	}
 	// Unknown kind rejected.
-	if _, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Step: StepKind(99), Rand: r,
+	if _, err := train(s, f, options{
+		Convexity: ConvexityConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Step: StepKind(99), Rand: r,
 	}); err == nil {
 		t.Error("unknown StepKind accepted")
 	}
@@ -95,8 +98,9 @@ func TestPrivateConvexEtaClamped(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	s := separable(r, 100, 3)
 	f := loss.NewHuber(0.01, 0, 0)
-	res, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Passes: 1, Rand: r,
+	res, err := train(s, f, options{
+		Convexity: ConvexityConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Passes: 1, Rand: r,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +115,9 @@ func TestPrivateConvexEtaClamped(t *testing.T) {
 func TestPrivateConvexRejectsTol(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	s := separable(r, 50, 2)
-	_, err := PrivateConvexPSGD(s, loss.NewLogistic(0, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Tol: 1e-3, Rand: r,
+	_, err := train(s, loss.NewLogistic(0, 0), options{
+		Convexity: ConvexityConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Tol: 1e-3, Rand: r,
 	})
 	if err == nil || !strings.Contains(err.Error(), "not private") {
 		t.Errorf("convex Tol should be rejected, got %v", err)
@@ -125,12 +130,13 @@ func TestPrivateStronglyConvexPSGDBasic(t *testing.T) {
 	lambda := 1e-3
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
-	res, err := PrivateStronglyConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 5,
-		Batch:  50,
-		Radius: 1 / lambda,
-		Rand:   r,
+	res, err := train(s, f, options{
+		Convexity: ConvexityStronglyConvex,
+		Budget:    dp.Budget{Epsilon: 1},
+		Passes:    5,
+		Batch:     50,
+		Radius:    1 / lambda,
+		Rand:      r,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +151,10 @@ func TestPrivateStronglyConvexPSGDBasic(t *testing.T) {
 		t.Errorf("Passes = %d", res.Passes)
 	}
 	// Opt-in paper calibration divides by b.
-	pres, err := PrivateStronglyConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 5, Batch: 50, Radius: 1 / lambda, Rand: r,
+	pres, err := train(s, f, options{
+		Convexity: ConvexityStronglyConvex,
+		Budget:    dp.Budget{Epsilon: 1},
+		Passes:    5, Batch: 50, Radius: 1 / lambda, Rand: r,
 		PaperBatchSensitivity: true,
 	})
 	if err != nil {
@@ -164,8 +171,9 @@ func TestStronglyConvexSensitivityIndependentOfK(t *testing.T) {
 	f := loss.NewLogistic(1e-2, 0)
 	var sens []float64
 	for _, k := range []int{1, 5, 20} {
-		res, err := PrivateStronglyConvexPSGD(s, f, Options{
-			Budget: dp.Budget{Epsilon: 1}, Passes: k, Rand: r,
+		res, err := train(s, f, options{
+			Convexity: ConvexityStronglyConvex,
+			Budget:    dp.Budget{Epsilon: 1}, Passes: k, Rand: r,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -182,8 +190,9 @@ func TestConvexSensitivityGrowsWithK(t *testing.T) {
 	s := separable(r, 500, 3)
 	f := loss.NewLogistic(0, 0)
 	get := func(k int) float64 {
-		res, err := PrivateConvexPSGD(s, f, Options{
-			Budget: dp.Budget{Epsilon: 1}, Passes: k, Rand: r,
+		res, err := train(s, f, options{
+			Convexity: ConvexityConvex,
+			Budget:    dp.Budget{Epsilon: 1}, Passes: k, Rand: r,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,8 +207,9 @@ func TestConvexSensitivityGrowsWithK(t *testing.T) {
 func TestStronglyConvexRequiresStrongConvexity(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	s := separable(r, 50, 2)
-	_, err := PrivateStronglyConvexPSGD(s, loss.NewLogistic(0, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
+	_, err := train(s, loss.NewLogistic(0, 0), options{
+		Convexity: ConvexityStronglyConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Rand: r,
 	})
 	if err == nil {
 		t.Error("γ=0 loss accepted by the strongly convex algorithm")
@@ -210,12 +220,13 @@ func TestStronglyConvexTolEarlyStop(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	s := separable(r, 500, 4)
 	f := loss.NewLogistic(1e-2, 0)
-	res, err := PrivateStronglyConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1},
-		Passes: 100,
-		Batch:  10,
-		Tol:    1e-4,
-		Rand:   r,
+	res, err := train(s, f, options{
+		Convexity: ConvexityStronglyConvex,
+		Budget:    dp.Budget{Epsilon: 1},
+		Passes:    100,
+		Batch:     10,
+		Tol:       1e-4,
+		Rand:      r,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +240,7 @@ func TestTrainDispatch(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	s := separable(r, 200, 3)
 	// Strongly convex path.
-	res, err := Train(s, loss.NewLogistic(1e-2, 0), Options{
+	res, err := train(s, loss.NewLogistic(1e-2, 0), options{
 		Budget: dp.Budget{Epsilon: 1}, Rand: r,
 	})
 	if err != nil {
@@ -242,7 +253,7 @@ func TestTrainDispatch(t *testing.T) {
 		t.Errorf("Train chose the wrong algorithm: sens %v want %v", res.Sensitivity, want)
 	}
 	// Convex path.
-	res, err = Train(s, loss.NewLogistic(0, 0), Options{
+	res, err = train(s, loss.NewLogistic(0, 0), options{
 		Budget: dp.Budget{Epsilon: 1}, Rand: r,
 	})
 	if err != nil {
@@ -263,7 +274,7 @@ func TestGaussianBudgetUsed(t *testing.T) {
 	avg := func(b dp.Budget) float64 {
 		var sum float64
 		for i := 0; i < 20; i++ {
-			res, err := PrivateConvexPSGD(s, f, Options{Budget: b, Passes: 1, Batch: 50, Rand: r})
+			res, err := train(s, f, options{Convexity: ConvexityConvex, Budget: b, Passes: 1, Batch: 50, Rand: r})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,26 +295,28 @@ func TestOptionsValidation(t *testing.T) {
 	f := loss.NewLogistic(0, 0)
 	cases := []struct {
 		name string
-		opt  Options
+		opt  options
 	}{
-		{"bad budget", Options{Rand: r}},
-		{"nil rand", Options{Budget: dp.Budget{Epsilon: 1}}},
-		{"bad C", Options{Budget: dp.Budget{Epsilon: 1}, C: 1.5, Rand: r}},
-		{"negative passes", Options{Budget: dp.Budget{Epsilon: 1}, Passes: -1, Rand: r}},
+		{"bad budget", options{Rand: r}},
+		{"nil rand", options{Budget: dp.Budget{Epsilon: 1}}},
+		{"negative batch", options{Budget: dp.Budget{Epsilon: 1}, Batch: -1, Rand: r}},
+		{"negative passes", options{Budget: dp.Budget{Epsilon: 1}, Passes: -1, Rand: r}},
 	}
 	for _, c := range cases {
-		if _, err := PrivateConvexPSGD(s, f, c.opt); err == nil {
+		if _, err := train(s, f, c.opt); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
 	// Empty training set.
-	if _, err := PrivateConvexPSGD(&sgd.SliceSamples{}, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
+	if _, err := train(&sgd.SliceSamples{}, f, options{
+		Convexity: ConvexityConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Rand: r,
 	}); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := PrivateStronglyConvexPSGD(&sgd.SliceSamples{}, loss.NewLogistic(1e-2, 0), Options{
-		Budget: dp.Budget{Epsilon: 1}, Rand: r,
+	if _, err := train(&sgd.SliceSamples{}, loss.NewLogistic(1e-2, 0), options{
+		Convexity: ConvexityStronglyConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Rand: r,
 	}); err == nil {
 		t.Error("empty set accepted (strongly convex)")
 	}
@@ -316,8 +329,9 @@ func TestNoiseShrinksWithEpsilon(t *testing.T) {
 	avg := func(eps float64) float64 {
 		var sum float64
 		for i := 0; i < 30; i++ {
-			res, err := PrivateStronglyConvexPSGD(s, f, Options{
-				Budget: dp.Budget{Epsilon: eps}, Rand: r,
+			res, err := train(s, f, options{
+				Convexity: ConvexityStronglyConvex,
+				Budget:    dp.Budget{Epsilon: eps}, Rand: r,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -335,8 +349,9 @@ func TestAveragingOption(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	s := separable(r, 300, 3)
 	f := loss.NewLogistic(0, 0)
-	res, err := PrivateConvexPSGD(s, f, Options{
-		Budget: dp.Budget{Epsilon: 1}, Average: true, Rand: r,
+	res, err := train(s, f, options{
+		Convexity: ConvexityConvex,
+		Budget:    dp.Budget{Epsilon: 1}, Average: true, Rand: r,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"boltondp/internal/dist"
-	"boltondp/internal/dp"
 	"boltondp/internal/engine"
 	"boltondp/internal/loss"
 	"boltondp/internal/sgd"
@@ -23,32 +21,26 @@ var jobSeq atomic.Uint64
 // loss on a distributed coordinator/worker pool (internal/dist) instead
 // of the in-process engine. It is the distributed counterpart of
 // TrainCtx with the Sharded strategy: WithStrategy(engine.Sharded, P)
-// selects the shard count (default 1), the noise is calibrated exactly
-// as PrivateConvexPSGD / PrivateStronglyConvexPSGD calibrate a sharded
-// run, and the result — model, ledger entry, noise draw — is
-// bit-identical to the single-process run under the same seed (the
-// parity contract pinned by the internal/dist tests).
+// selects the shard count (default 1), the run is calibrated by the
+// same calibrate as TrainCtx (so WithConvexity, WithStep and
+// WithPaperBatchSensitivity mean what they mean in-process), and the
+// result — model, ledger entry, noise draw — is bit-identical to the
+// single-process run under the same seed (the parity contract pinned by
+// the internal/dist tests).
 //
 // Options that require mid-run access to the whole dataset or change
 // the randomness schedule are rejected: Tol and Progress (per-epoch
 // risk needs every row), AverageTail (not supported under Sharded),
-// and FreshPerm (the sharded executor resamples per-shard permutations
+// FreshPerm (the sharded executor resamples per-shard permutations
 // every epoch already; the flag only has meaning for multi-pass
 // sequential runs, whose distributed form ships one pinned
-// permutation).
+// permutation), and gradient perturbation (Sequential-only, as
+// in-process).
 func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Source, f loss.Function, opts ...Option) (*Result, error) {
 	o := buildOptions(ctx, opts)
-	if err := o.fillBudget(); err != nil {
-		return nil, err
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	o.Strategy = engine.Sharded
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
 	switch {
+	case o.GradPerturb != nil:
+		return nil, errors.New("core: gradient perturbation is Sequential-only (per-step accounting assumes one update stream); not available distributed")
 	case o.Tol > 0:
 		return nil, errors.New("core: Tol-based early stopping needs per-epoch risk over the whole dataset; not available distributed")
 	case o.Progress != nil:
@@ -58,47 +50,14 @@ func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Sou
 	case o.FreshPerm:
 		return nil, errors.New("core: FreshPerm does not apply to distributed runs (sharded epochs already resample; single-shard runs ship one pinned permutation)")
 	}
-	m := src.Rows()
-	if m == 0 {
-		return nil, errors.New("core: empty training set")
+	if o.Workers == 0 {
+		o.Workers = 1
 	}
-	n, err := o.shardSize(m)
+	o.Strategy = engine.Sharded
+	c, err := calibrate(o, f, src.Rows())
 	if err != nil {
 		return nil, err
 	}
-	o = o.withDefaults(n)
-	p := f.Params()
-	workers := o.effWorkers()
-	if o.Batch > n {
-		o.Batch = n // mirror the engine's clamp so Δ₂ is not over-divided
-	}
-
-	var stepSpec dist.StepSpec
-	var sens float64
-	if p.StronglyConvex() {
-		stepSpec = dist.StepSpec{Kind: dist.StepStronglyConvex, Beta: p.Beta, Gamma: p.Gamma}
-		if o.PaperBatchSensitivity {
-			sens = dp.SensitivityStronglyConvexPaperBatch(p.L, p.Gamma, n, o.Batch) / float64(workers)
-		} else {
-			sens = dp.SensitivityShardedStronglyConvex(p.L, p.Gamma, n, workers)
-		}
-	} else {
-		switch o.Step {
-		case StepConstant:
-			eta := math.Min(o.Eta, 2/p.Beta) // Lemma 1.1 validity
-			stepSpec = dist.StepSpec{Kind: dist.StepConstant, Eta: eta}
-			sens = dp.SensitivityShardedConvexConstant(p.L, eta, o.Passes, o.Batch, workers)
-		case StepDecreasing:
-			stepSpec = dist.StepSpec{Kind: dist.StepDecreasing, Beta: p.Beta, M: n, C: o.C}
-			sens = dp.SensitivityShardedConvexDecreasing(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
-		case StepSqrt:
-			stepSpec = dist.StepSpec{Kind: dist.StepSqrt, Beta: p.Beta, M: n, C: o.C}
-			sens = dp.SensitivityShardedConvexSqrt(p.L, p.Beta, o.Passes, n, o.Batch, o.C, workers)
-		default:
-			return nil, fmt.Errorf("core: unknown StepKind %v", o.Step)
-		}
-	}
-
 	lossSpec, err := dist.LossSpecFor(f)
 	if err != nil {
 		return nil, err
@@ -106,33 +65,27 @@ func TrainDistributed(ctx context.Context, coord *dist.Coordinator, src dist.Sou
 	job := dist.Job{
 		ID: fmt.Sprintf("train-%s-%d", f.Name(), jobSeq.Add(1)),
 		Spec: dist.TrainSpec{
-			Loss: lossSpec, Step: stepSpec,
-			Batch: o.Batch, Radius: o.Radius, Average: o.Average,
-			KernelWorkers: o.KernelWorkers,
+			Loss: lossSpec, Step: c.step,
+			Batch: c.Batch, Radius: c.Radius, Average: c.Average,
+			KernelWorkers: c.KernelWorkers,
 		},
-		Shards: maxInt(o.Workers, 1),
-		Passes: o.Passes,
+		Shards: c.Workers,
+		Passes: c.Passes,
+		W0:     c.W0,
 	}
 
-	if err := o.reserveBudget(f); err != nil {
+	if err := c.reserveBudget(f); err != nil {
 		return nil, err
 	}
-	runCtx := o.Ctx
+	runCtx := c.Ctx
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
-	res, err := coord.Train(runCtx, src, job, o.Rand)
+	res, err := coord.Train(runCtx, src, job, c.Rand)
 	if err != nil {
 		return nil, err
 	}
 	return perturb(&sgd.Result{
 		W: res.W, WAvg: res.WAvg, Updates: res.Updates, Passes: res.Passes,
-	}, o, sens)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	}, c.options, c.sens)
 }

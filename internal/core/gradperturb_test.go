@@ -28,7 +28,7 @@ func TestSimpleRuleParityWall(t *testing.T) {
 	budget := dp.Budget{Epsilon: 1, Delta: 1e-6}
 
 	run := func(acct *account.Accountant) *Result {
-		res, err := Train(s, f, Options{
+		res, err := train(s, f, options{
 			Budget:     budget,
 			Passes:     2,
 			Batch:      25,
@@ -73,7 +73,7 @@ func TestSimpleRuleParityWall(t *testing.T) {
 
 	// A pure budget takes the ReservePure path; same bit-compat.
 	pureTyped, _ := account.NewWithRule(compose.RuleSimple, dp.Budget{Epsilon: 2})
-	res, err := Train(s, f, Options{
+	res, err := train(s, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Passes: 1, Batch: 25, Radius: 100,
 		Rand: rand.New(rand.NewSource(78)), Accountant: pureTyped, SpendLabel: "pure",
 	})
@@ -163,9 +163,9 @@ func TestGradPerturbDeterministic(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(41)), 400, 4)
 	f := loss.NewLogistic(1e-2, 0)
 	run := func() []float64 {
-		res, err := Train(s, f, Options{
+		res, err := train(s, f, options{
 			Budget:      dp.Budget{Epsilon: 4, Delta: 1e-6},
-			GradPerturb: &GradPerturbSpec{Clip: 0.5, NoiseMultiplier: 1},
+			GradPerturb: &gradPerturbSpec{Clip: 0.5, NoiseMultiplier: 1},
 			Passes:      2, Batch: 20, Radius: 100,
 			Rand: rand.New(rand.NewSource(42)),
 		})
@@ -192,10 +192,10 @@ func TestGradPerturbOverdrawBeforeWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Train(src, loss.NewLogistic(1e-2, 0), Options{
+	_, err = train(src, loss.NewLogistic(1e-2, 0), options{
 		Budget: dp.Budget{Epsilon: 0.5, Delta: 1e-7},
 		// σ̃ = 0.05 over 25 steps prices enormously above ε = 0.5.
-		GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 0.05},
+		GradPerturb: &gradPerturbSpec{Clip: 1, NoiseMultiplier: 0.05},
 		Passes:      1, Batch: 20, Radius: 100,
 		Rand:       rand.New(rand.NewSource(52)),
 		Accountant: acct,
@@ -212,9 +212,9 @@ func TestGradPerturbOverdrawBeforeWork(t *testing.T) {
 
 	// Stand-alone (no accountant) the same overpriced run is refused by
 	// the trial pricing, still before any row access.
-	_, err = Train(src, loss.NewLogistic(1e-2, 0), Options{
+	_, err = train(src, loss.NewLogistic(1e-2, 0), options{
 		Budget:      dp.Budget{Epsilon: 0.5, Delta: 1e-6},
-		GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 0.05},
+		GradPerturb: &gradPerturbSpec{Clip: 1, NoiseMultiplier: 0.05},
 		Passes:      1, Batch: 20, Radius: 100,
 		Rand: rand.New(rand.NewSource(53)),
 	})
@@ -234,10 +234,10 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(61)), 800, 4)
 	f := loss.NewLogistic(1e-2, 0)
 	budget := dp.Budget{Epsilon: 2.5, Delta: 1e-6}
-	opt := func() Options {
-		return Options{
+	opt := func() options {
+		return options{
 			Budget:      budget,
-			GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 1.2},
+			GradPerturb: &gradPerturbSpec{Clip: 1, NoiseMultiplier: 1.2},
 			Passes:      2, Batch: 25, Radius: 100,
 			Rand: rand.New(rand.NewSource(62)),
 		}
@@ -246,11 +246,11 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 	// 64 steps at σ̃ = 1.2 price over ε = 2.5 under simple composition...
 	o := opt()
 	o.Accounting = compose.RuleSimple
-	if _, err := Train(s, f, o); err == nil || !strings.Contains(err.Error(), "over budget") {
+	if _, err := train(s, f, o); err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("simple-rule pricing should refuse this run, got err = %v", err)
 	}
 	// ...and comfortably fit under the rdp default.
-	if _, err := Train(s, f, opt()); err != nil {
+	if _, err := train(s, f, opt()); err != nil {
 		t.Fatalf("rdp-default run failed: %v", err)
 	}
 
@@ -259,13 +259,13 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 	o = opt()
 	o.Accountant = acct
 	o.Accounting = compose.RuleRDP
-	if _, err := Train(s, f, o); err == nil || !strings.Contains(err.Error(), "disagrees") {
+	if _, err := train(s, f, o); err == nil || !strings.Contains(err.Error(), "disagrees") {
 		t.Fatalf("rule mismatch: err = %v", err)
 	}
 	// An unknown rule is rejected too.
 	o = opt()
 	o.Accounting = "zcdp"
-	if _, err := Train(s, f, o); err == nil {
+	if _, err := train(s, f, o); err == nil {
 		t.Fatal("unknown accounting rule accepted")
 	}
 }
@@ -275,36 +275,36 @@ func TestGradPerturbRuleDefaultsAndMismatch(t *testing.T) {
 func TestGradPerturbValidationCore(t *testing.T) {
 	s := separable(rand.New(rand.NewSource(71)), 200, 4)
 	f := loss.NewLogistic(1e-2, 0)
-	base := func() Options {
-		return Options{
+	base := func() options {
+		return options{
 			Budget:      dp.Budget{Epsilon: 6, Delta: 1e-6},
-			GradPerturb: &GradPerturbSpec{Clip: 1, NoiseMultiplier: 1},
+			GradPerturb: &gradPerturbSpec{Clip: 1, NoiseMultiplier: 1},
 			Passes:      1, Batch: 20, Radius: 100,
 			Rand: rand.New(rand.NewSource(72)),
 		}
 	}
 	cases := []struct {
 		name string
-		mut  func(*Options)
+		mut  func(*options)
 		want string
 	}{
-		{"sharded", func(o *Options) { o.Strategy = 1; o.Workers = 2 }, "Sequential-only"},
-		{"tol", func(o *Options) { o.Tol = 1e-3 }, "Tol"},
-		{"progress", func(o *Options) { o.Progress = func(int, float64) {} }, "Progress"},
-		{"freshperm", func(o *Options) { o.FreshPerm = true }, "FreshPerm"},
-		{"pure budget", func(o *Options) { o.Budget = dp.Budget{Epsilon: 2} }, "δ > 0"},
-		{"negative multiplier", func(o *Options) { o.GradPerturb.NoiseMultiplier = -1 }, "NoiseMultiplier"},
+		{"sharded", func(o *options) { o.Strategy = 1; o.Workers = 2 }, "Sequential-only"},
+		{"tol", func(o *options) { o.Tol = 1e-3 }, "Tol"},
+		{"progress", func(o *options) { o.Progress = func(int, float64) {} }, "Progress"},
+		{"freshperm", func(o *options) { o.FreshPerm = true }, "FreshPerm"},
+		{"pure budget", func(o *options) { o.Budget = dp.Budget{Epsilon: 2} }, "δ > 0"},
+		{"negative multiplier", func(o *options) { o.GradPerturb.NoiseMultiplier = -1 }, "NoiseMultiplier"},
 	}
 	for _, tc := range cases {
 		o := base()
 		tc.mut(&o)
-		_, err := Train(s, f, o)
+		_, err := train(s, f, o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 	// The happy path actually runs (guards the cases above are real).
-	if _, err := Train(s, f, base()); err != nil {
+	if _, err := train(s, f, base()); err != nil {
 		t.Fatalf("base gradperturb config failed: %v", err)
 	}
 }
@@ -319,9 +319,9 @@ func TestGradPerturbSolvedSigmaTightens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Train(s, f, Options{
+		_, err = train(s, f, options{
 			Budget:      dp.Budget{Epsilon: eps, Delta: 1e-6},
-			GradPerturb: &GradPerturbSpec{Clip: 1},
+			GradPerturb: &gradPerturbSpec{Clip: 1},
 			Passes:      1, Batch: 25, Radius: 100,
 			Rand:       rand.New(rand.NewSource(82)),
 			Accountant: acct,

@@ -120,7 +120,7 @@ func TestKernelWorkersParityWall(t *testing.T) {
 func TestKernelWorkersOptionValidation(t *testing.T) {
 	ds := strategyDataset(8, 100, 3)
 	f := loss.NewLogistic(1e-2, 0)
-	if _, err := Train(ds, f, Options{
+	if _, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, KernelWorkers: -2,
 		Rand: rand.New(rand.NewSource(9)),
 	}); err == nil {

@@ -28,10 +28,10 @@ func TestPrivateSparseDenseDistributionalIdentity(t *testing.T) {
 	type scenario struct {
 		name string
 		f    loss.Function
-		opt  Options
+		opt  options
 	}
-	mk := func(strategy engine.Strategy, workers, passes int) Options {
-		return Options{
+	mk := func(strategy engine.Strategy, workers, passes int) options {
+		return options{
 			Budget: dp.Budget{Epsilon: 0.5}, Passes: passes, Batch: 5,
 			Radius: 100, Strategy: strategy, Workers: workers,
 		}
@@ -46,13 +46,13 @@ func TestPrivateSparseDenseDistributionalIdentity(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			optS := sc.opt
 			optS.Rand = rand.New(rand.NewSource(99))
-			resS, err := Train(sp, sc.f, optS)
+			resS, err := train(sp, sc.f, optS)
 			if err != nil {
 				t.Fatal(err)
 			}
 			optD := sc.opt
 			optD.Rand = rand.New(rand.NewSource(99))
-			resD, err := Train(de, sc.f, optD)
+			resD, err := train(de, sc.f, optD)
 			if err != nil {
 				t.Fatal(err)
 			}

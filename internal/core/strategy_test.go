@@ -18,21 +18,21 @@ func strategyDataset(seed int64, m, d int) *data.Dataset {
 
 // Sharded strongly convex training must report exactly the sequential
 // sensitivity when the shards are equal — privacy-free parallelism at
-// the Options level.
+// the options level.
 func TestShardedSensitivityMatchesSequential(t *testing.T) {
 	ds := strategyDataset(1, 1000, 4)
 	lambda := 1e-2
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
 
-	seq, err := Train(ds, f, Options{
+	seq, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: 5, Radius: 1 / lambda,
 		Rand: rand.New(rand.NewSource(2)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := Train(ds, f, Options{
+	sh, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: 5, Radius: 1 / lambda,
 		Strategy: engine.Sharded, Workers: 5,
 		Rand: rand.New(rand.NewSource(2)),
@@ -54,7 +54,7 @@ func TestShardedConvexSensitivityDividesByWorkers(t *testing.T) {
 	f := loss.NewLogistic(0, 0)
 	p := f.Params()
 	workers := 3
-	res, err := Train(ds, f, Options{
+	res, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Passes: 2, Batch: 5,
 		Strategy: engine.Sharded, Workers: workers,
 		Rand: rand.New(rand.NewSource(4)),
@@ -79,14 +79,14 @@ func TestStreamingStrategy(t *testing.T) {
 	f := loss.NewLogistic(lambda, 0)
 	p := f.Params()
 
-	if _, err := Train(s, f, Options{
+	if _, err := train(s, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Passes: 3, Radius: 1 / lambda,
 		Strategy: engine.Streaming, Rand: rand.New(rand.NewSource(6)),
 	}); err == nil {
 		t.Error("multi-pass streaming accepted")
 	}
 
-	res, err := Train(s, f, Options{
+	res, err := train(s, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Batch: 5, Radius: 1 / lambda,
 		Strategy: engine.Streaming, Rand: rand.New(rand.NewSource(7)),
 	})
@@ -113,11 +113,11 @@ func TestPaperBatchSensitivityClampsBatch(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		opts     Options
+		opts     options
 		wantN, b int // effective size and clamped batch the Δ₂ must use
 	}{
-		{"sequential batch>m", Options{Batch: 5000}, 1000, 1000},
-		{"sharded batch>minShard", Options{Strategy: engine.Sharded, Workers: 10, Batch: 500}, 100, 100},
+		{"sequential batch>m", options{Batch: 5000}, 1000, 1000},
+		{"sharded batch>minShard", options{Strategy: engine.Sharded, Workers: 10, Batch: 500}, 100, 100},
 	} {
 		o := tc.opts
 		o.Budget = dp.Budget{Epsilon: 1}
@@ -125,7 +125,7 @@ func TestPaperBatchSensitivityClampsBatch(t *testing.T) {
 		o.Radius = 1 / lambda
 		o.PaperBatchSensitivity = true
 		o.Rand = rand.New(rand.NewSource(21))
-		res, err := Train(ds, f, o)
+		res, err := train(ds, f, o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -139,19 +139,19 @@ func TestPaperBatchSensitivityClampsBatch(t *testing.T) {
 func TestStrategyOptionValidation(t *testing.T) {
 	ds := strategyDataset(8, 100, 3)
 	f := loss.NewLogistic(1e-2, 0)
-	if _, err := Train(ds, f, Options{
+	if _, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Workers: 4, // Sequential + Workers
 		Rand: rand.New(rand.NewSource(9)),
 	}); err == nil {
 		t.Error("Workers without Sharded strategy accepted")
 	}
-	if _, err := Train(ds, f, Options{
+	if _, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Strategy: engine.Sharded, Workers: 101,
 		Rand: rand.New(rand.NewSource(10)),
 	}); err == nil {
 		t.Error("more workers than rows accepted")
 	}
-	if _, err := Train(ds, f, Options{
+	if _, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 1}, Workers: -1,
 		Rand: rand.New(rand.NewSource(11)),
 	}); err == nil {
@@ -160,12 +160,12 @@ func TestStrategyOptionValidation(t *testing.T) {
 }
 
 // A sharded private run should still produce a usable classifier at a
-// generous budget — plumbing check from Options down to the engine.
+// generous budget — plumbing check from options down to the engine.
 func TestShardedTrainAccuracy(t *testing.T) {
 	ds := strategyDataset(12, 2000, 5)
 	lambda := 1e-2
 	f := loss.NewLogistic(lambda, 0)
-	res, err := Train(ds, f, Options{
+	res, err := train(ds, f, options{
 		Budget: dp.Budget{Epsilon: 5}, Passes: 5, Batch: 10, Radius: 1 / lambda,
 		Strategy: engine.Sharded, Workers: 4,
 		Rand: rand.New(rand.NewSource(13)),

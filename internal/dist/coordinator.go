@@ -61,6 +61,10 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers []*workerRef
+	// holders records, per running job, every worker a shard of it was
+	// installed on — the workers Train releases the job on when it
+	// returns.
+	holders map[string]map[*workerRef]bool
 }
 
 type workerRef struct {
@@ -70,7 +74,7 @@ type workerRef struct {
 
 // NewCoordinator returns a coordinator with no registered workers.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	return &Coordinator{cfg: cfg.withDefaults()}
+	return &Coordinator{cfg: cfg.withDefaults(), holders: make(map[string]map[*workerRef]bool)}
 }
 
 // Register performs the handshake with the worker at baseURL (scheme +
@@ -193,6 +197,13 @@ type Result struct {
 // its shards are reassigned (install + deterministic epoch rewind) to
 // the next live worker; when no live workers remain, or ctx is done,
 // the run aborts fail-closed — no partial average is ever returned.
+//
+// However Train returns — result, error or cancellation — it first
+// releases the job on every worker a shard of it was installed on, so
+// workers hold no state for finished jobs. Release is best-effort: a
+// worker that cannot be reached keeps its shards until it is closed,
+// and the run's outcome is unaffected. Job IDs must therefore be unique
+// among a coordinator's concurrent runs.
 func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Rand) (*Result, error) {
 	if r == nil {
 		return nil, errors.New("dist: Train requires a *rand.Rand (the parity contract is stated against its state)")
@@ -217,6 +228,7 @@ func (c *Coordinator) Train(ctx context.Context, src Source, job Job, r *rand.Ra
 	if len(c.Workers()) == 0 {
 		return nil, errors.New("dist: no live workers registered")
 	}
+	defer c.release(ctx, job.ID)
 	if plan.Workers == 1 {
 		return c.trainSingle(ctx, src, job, r)
 	}
@@ -430,6 +442,7 @@ func (c *Coordinator) assign(ctx context.Context, job Job, sh *shard) error {
 		if wr == nil {
 			return fmt.Errorf("dist: job %s: no live workers left to hold shard %d — aborting fail-closed", job.ID, sh.index)
 		}
+		c.hold(job.ID, wr)
 		var resp ShardResponse
 		err := c.callWorker(ctx, wr, PathShard, req, &resp)
 		if err == nil {
@@ -495,6 +508,46 @@ func (c *Coordinator) epoch(ctx context.Context, job Job, sh *shard, req *EpochR
 		c.markDead(sh.worker)
 		sh.worker = nil
 	}
+}
+
+// releaseTimeout bounds each release call, so an unresponsive worker
+// delays the end of a run by at most this much.
+const releaseTimeout = 2 * time.Second
+
+// hold records that a shard of job was sent to wr.
+func (c *Coordinator) hold(job string, wr *workerRef) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holders[job] == nil {
+		c.holders[job] = make(map[*workerRef]bool)
+	}
+	c.holders[job][wr] = true
+}
+
+// release drops job on every worker that was sent a shard of it, in
+// parallel, one attempt each. It runs after the run's context may have
+// been cancelled, so it keeps the context's values but not its
+// cancellation. Errors are ignored: the worker keeps the shards until
+// it is closed, which costs memory, never correctness.
+func (c *Coordinator) release(ctx context.Context, job string) {
+	c.mu.Lock()
+	held := c.holders[job]
+	delete(c.holders, job)
+	c.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), releaseTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for wr := range held {
+		wg.Add(1)
+		go func(wr *workerRef) {
+			defer wg.Done()
+			var resp ReleaseResponse
+			// Best-effort (see above): a failed release changes nothing
+			// the caller could act on.
+			_ = c.post(ctx, wr.url+PathRelease, &ReleaseRequest{Version: ProtocolVersion, Job: job}, &resp)
+		}(wr)
+	}
+	wg.Wait()
 }
 
 // pick returns a live worker for shard index (round-robin over the live

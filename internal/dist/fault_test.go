@@ -296,4 +296,6 @@ func TestFaultCtxCancelMidRound(t *testing.T) {
 	if l.SpentEpsilon != 0.5 {
 		t.Fatalf("spent ε = %v, want the single 0.5 reservation (no double spend, no refund)", l.SpentEpsilon)
 	}
+	// The cancelled job is released on the workers like a finished one.
+	p.assertNoJobs(t)
 }

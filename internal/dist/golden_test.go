@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"flag"
 	"hash/crc32"
@@ -76,8 +75,8 @@ func goldenMessages() []struct {
 					Shard: 0, Lo: 0, Hi: 2,
 					Inline: &InlinePayload{
 						Rows: 2, NNZ: 3, Dim: 4, Sparse: true,
-						B64: base64.StdEncoding.EncodeToString(payload),
-						CRC: crc32.ChecksumIEEE(payload),
+						Payload: payload,
+						CRC:     crc32.ChecksumIEEE(payload),
 					},
 				},
 				Spec: TrainSpec{
@@ -109,6 +108,14 @@ func goldenMessages() []struct {
 				Version: ProtocolVersion, Job: "train-logistic-1",
 				Shard: 1, Epoch: 2, W: wv, WAvg: &av, Updates: 100, Passes: 1,
 			},
+		},
+		{
+			file: "release_request.golden.json",
+			msg:  &ReleaseRequest{Version: ProtocolVersion, Job: "train-logistic-1"},
+		},
+		{
+			file: "release_response.golden.json",
+			msg:  &ReleaseResponse{Version: ProtocolVersion, Job: "train-logistic-1", Shards: 2},
 		},
 		{
 			file: "health_response.golden.json",

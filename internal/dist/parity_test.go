@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -193,6 +195,35 @@ func TestDistParitySharded(t *testing.T) {
 						t.Fatalf("ledgers differ:\n got %+v\nwant %+v", gotAcct.Ledger(), wantAcct.Ledger())
 					}
 				})
+
+				// Algorithm 1 forced on a strongly convex loss: the
+				// distributed run must calibrate (step and Δ₂) exactly
+				// as the in-process run does, not from the loss alone.
+				t.Run("convex", func(t *testing.T) {
+					pool := newPool(t, 2)
+					opts := func() []core.Option {
+						return []core.Option{
+							core.WithConvexity(core.ConvexityConvex),
+							core.WithStrategy(engine.Sharded, P),
+							core.WithBudget(dp.Budget{Epsilon: 0.5}),
+							core.WithPasses(3), core.WithBatch(8), core.WithRadius(1 / 1e-2),
+							core.WithRand(rand.New(rand.NewSource(13))),
+						}
+					}
+					want, err := core.TrainCtx(context.Background(), sc.baseline, f, opts()...)
+					if err != nil {
+						t.Fatalf("core.TrainCtx: %v", err)
+					}
+					got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f, opts()...)
+					if err != nil {
+						t.Fatalf("core.TrainDistributed: %v", err)
+					}
+					if math.Float64bits(got.Sensitivity) != math.Float64bits(want.Sensitivity) {
+						t.Fatalf("Sensitivity %v != %v", got.Sensitivity, want.Sensitivity)
+					}
+					bitsEqual(t, "NonPrivate (convex)", got.NonPrivate, want.NonPrivate)
+					bitsEqual(t, "W (convex)", got.W, want.W)
+				})
 			})
 		}
 	}
@@ -205,21 +236,21 @@ func TestDistParityAveragedPrivate(t *testing.T) {
 	srcs := sources(t)
 	sc := srcs["store"]
 	f := loss.NewLogistic(1e-2, 0)
-	base := core.Options{
-		Budget: dp.Budget{Epsilon: 1, Delta: 1e-6},
-		Passes: 2, Batch: 4, Radius: 100, Average: true,
-		Strategy: engine.Sharded, Workers: 2,
+	opts := func() []core.Option {
+		return []core.Option{
+			core.WithBudget(dp.Budget{Epsilon: 1, Delta: 1e-6}),
+			core.WithPasses(2), core.WithBatch(4), core.WithRadius(100), core.WithAverage(),
+			core.WithStrategy(engine.Sharded, 2),
+			core.WithRand(rand.New(rand.NewSource(5))),
+		}
 	}
 
 	pool := newPool(t, 2)
-	wantOpts := base
-	wantOpts.Rand = rand.New(rand.NewSource(5))
-	want, err := core.Train(sc.baseline, f, wantOpts)
+	want, err := core.TrainCtx(context.Background(), sc.baseline, f, opts()...)
 	if err != nil {
-		t.Fatalf("core.Train: %v", err)
+		t.Fatalf("core.TrainCtx: %v", err)
 	}
-	got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f,
-		core.WithOptions(base), core.WithRand(rand.New(rand.NewSource(5))))
+	got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f, opts()...)
 	if err != nil {
 		t.Fatalf("core.TrainDistributed: %v", err)
 	}
@@ -227,34 +258,143 @@ func TestDistParityAveragedPrivate(t *testing.T) {
 	bitsEqual(t, "NonPrivate", got.NonPrivate, want.NonPrivate)
 }
 
+// TestDistParityWarmStart: a warm-started distributed run starts every
+// shard from the same released model the in-process run starts from.
+func TestDistParityWarmStart(t *testing.T) {
+	sc := sources(t)["inmemory"]
+	f := loss.NewLogistic(1e-2, 0)
+	w0 := make([]float64, sc.src.Dim())
+	for i := range w0 {
+		w0[i] = 0.25 - float64(i%3)*0.125
+	}
+	for _, P := range []int{1, 2} {
+		opts := func() []core.Option {
+			return []core.Option{
+				core.WithBudget(dp.Budget{Epsilon: 1}),
+				core.WithPasses(2), core.WithBatch(8), core.WithRadius(100),
+				core.WithStrategy(engine.Sharded, P), core.WithWarmStart(w0),
+				core.WithRand(rand.New(rand.NewSource(21))),
+			}
+		}
+		pool := newPool(t, 2)
+		want, err := core.TrainCtx(context.Background(), sc.baseline, f, opts()...)
+		if err != nil {
+			t.Fatalf("P=%d core.TrainCtx: %v", P, err)
+		}
+		got, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f, opts()...)
+		if err != nil {
+			t.Fatalf("P=%d core.TrainDistributed: %v", P, err)
+		}
+		bitsEqual(t, fmt.Sprintf("P=%d NonPrivate (warm start)", P), got.NonPrivate, want.NonPrivate)
+		bitsEqual(t, fmt.Sprintf("P=%d W (warm start)", P), got.W, want.W)
+	}
+}
+
 // TestTrainDistributedRejections pins the option surface: parameters
-// whose semantics need the whole dataset mid-run (or change the
-// randomness schedule) are refused up front, not silently dropped.
+// whose semantics need the whole dataset mid-run, change the
+// randomness schedule, or cannot be calibrated are refused up front,
+// not silently dropped.
 func TestTrainDistributedRejections(t *testing.T) {
 	pool := newPool(t, 1)
 	ds := data.Synthetic(rand.New(rand.NewSource(3)), data.GenConfig{M: 40, D: 5, Classes: 2, Spread: 1})
 	src := dist.NewInlineSource(ds)
-	f := loss.NewLogistic(1e-2, 0)
-	base := []core.Option{
-		core.WithBudget(dp.Budget{Epsilon: 1}),
-		core.WithRand(rand.New(rand.NewSource(1))),
+	cases := map[string]struct {
+		f   loss.Function
+		opt core.Option
+	}{
+		"tol":         {loss.NewLogistic(1e-2, 0), core.WithTol(1e-3)},
+		"progress":    {loss.NewLogistic(1e-2, 0), core.WithProgress(func(int, float64) {})},
+		"averagetail": {loss.NewLogistic(1e-2, 0), core.WithAverageTail()},
+		"freshperm":   {loss.NewLogistic(1e-2, 0), core.WithFreshPerm()},
+		"gradperturb": {loss.NewLogistic(1e-2, 0), core.WithGradPerturb(1, 1)},
+		// Algorithm 2 on a γ = 0 loss has no finite Δ₂: fail closed
+		// exactly as the in-process run does.
+		"stronglyconvex-gamma0": {loss.NewLogistic(0, 0), core.WithConvexity(core.ConvexityStronglyConvex)},
 	}
-	cases := map[string]core.Option{
-		"tol":         core.WithTol(1e-3),
-		"progress":    core.WithProgress(func(int, float64) {}),
-		"averagetail": core.WithOptions(core.Options{Budget: dp.Budget{Epsilon: 1}, AverageTail: true}),
-		"freshperm":   core.WithOptions(core.Options{Budget: dp.Budget{Epsilon: 1}, FreshPerm: true}),
-	}
-	for name, opt := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			opts := append(append([]core.Option{}, base...), opt)
-			if name == "averagetail" || name == "freshperm" {
-				opts = append(opts, core.WithRand(rand.New(rand.NewSource(1))))
-			}
-			if _, err := core.TrainDistributed(context.Background(), pool.coord, src, f, opts...); err == nil {
+			acct := account.MustNew(dp.Budget{Epsilon: 2})
+			_, err := core.TrainDistributed(context.Background(), pool.coord, src, tc.f,
+				core.WithBudget(dp.Budget{Epsilon: 1, Delta: 1e-6}),
+				core.WithAccountant(acct),
+				core.WithRand(rand.New(rand.NewSource(1))),
+				tc.opt)
+			if err == nil {
 				t.Fatalf("%s accepted; want rejection", name)
 			}
+			if n := len(acct.Ledger().Entries); n != 0 {
+				t.Fatalf("%s: rejected run still reserved %d ledger entries", name, n)
+			}
 		})
+	}
+}
+
+// TestTrainDistributedReleasesJobs: whether a run succeeds or fails
+// after its shards are installed, the workers end up holding no state
+// for it — every finished job is released.
+func TestTrainDistributedReleasesJobs(t *testing.T) {
+	sc := sources(t)["store"]
+	f := loss.NewLogistic(1e-2, 0)
+	pool := newPool(t, 2)
+	for i := 0; i < 3; i++ {
+		if _, err := core.TrainDistributed(context.Background(), pool.coord, sc.src, f,
+			core.WithBudget(dp.Budget{Epsilon: 1}),
+			core.WithPasses(2), core.WithBatch(8), core.WithRadius(100),
+			core.WithStrategy(engine.Sharded, 2),
+			core.WithRand(rand.New(rand.NewSource(int64(i))))); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	pool.assertNoJobs(t)
+
+	// A worker that does not hold the job answers a release with zero
+	// shards, and repeating a release is harmless.
+	for i := 0; i < 2; i++ {
+		var resp dist.ReleaseResponse
+		postJSON(t, pool.urls[0]+dist.PathRelease, dist.ReleaseRequest{Version: dist.ProtocolVersion, Job: "never-installed"}, &resp)
+		if resp.Shards != 0 || resp.Job != "never-installed" {
+			t.Fatalf("release of an unknown job = %+v, want zero shards", resp)
+		}
+	}
+}
+
+// assertNoJobs fails the test if any worker in the pool still holds a
+// job, as reported by its health endpoint.
+func (p *pool) assertNoJobs(t *testing.T) {
+	t.Helper()
+	for _, u := range p.urls {
+		resp, err := http.Get(u + dist.PathHealthz)
+		if err != nil {
+			t.Fatalf("healthz %s: %v", u, err)
+		}
+		var h dist.HealthResponse
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("healthz %s: %v", u, err)
+		}
+		if h.Jobs != 0 || h.Shards != 0 {
+			t.Fatalf("worker %s holds %d jobs / %d shards after the run, want 0", u, h.Jobs, h.Shards)
+		}
+	}
+}
+
+func postJSON(t *testing.T, url string, in, out any) {
+	t.Helper()
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: http %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("POST %s: %v", url, err)
 	}
 }
 

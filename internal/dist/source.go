@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -87,10 +86,17 @@ func (s *inlineSource) manifest(shard, lo, hi int) (*ShardManifest, error) {
 	if lo < 0 || hi < lo || hi > s.s.Len() {
 		return nil, fmt.Errorf("dist: shard range [%d,%d) out of bounds for %d rows", lo, hi, s.s.Len())
 	}
-	rows := hi - lo
+	// Size the CSR arrays exactly (one counting pass): a job builds
+	// every shard's manifest anew, and growing them by appends would
+	// leave several payloads' worth of garbage per job.
+	rows, nnz := hi-lo, 0
+	for i := lo; i < hi; i++ {
+		nnz += s.rowNNZ(i)
+	}
 	indptr := make([]int, 1, rows+1)
-	var idx []int
-	var val, y []float64
+	idx := make([]int, 0, nnz)
+	val := make([]float64, 0, nnz)
+	y := make([]float64, 0, rows)
 	if s.sparse {
 		ss := s.s.(sgd.SparseSamples)
 		for i := lo; i < hi; i++ {
@@ -117,14 +123,30 @@ func (s *inlineSource) manifest(shard, lo, hi int) (*ShardManifest, error) {
 	return &ShardManifest{
 		Shard: shard, Lo: lo, Hi: hi,
 		Inline: &InlinePayload{
-			Rows:   rows,
-			NNZ:    len(idx),
-			Dim:    s.s.Dim(),
-			Sparse: s.sparse,
-			B64:    base64.StdEncoding.EncodeToString(payload),
-			CRC:    crc32.ChecksumIEEE(payload),
+			Rows:    rows,
+			NNZ:     len(idx),
+			Dim:     s.s.Dim(),
+			Sparse:  s.sparse,
+			Payload: payload,
+			CRC:     crc32.ChecksumIEEE(payload),
 		},
 	}, nil
+}
+
+// rowNNZ counts row i's nonzeros as manifest encodes them.
+func (s *inlineSource) rowNNZ(i int) int {
+	if s.sparse {
+		sp, _ := s.s.(sgd.SparseSamples).AtSparse(i)
+		return len(sp.Idx)
+	}
+	x, _ := s.s.At(i)
+	n := 0
+	for _, v := range x {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // encodeCSRPayload packs a CSR block in the store chunk payload layout:
@@ -160,10 +182,7 @@ func (p *InlinePayload) decode() (indptr, idx []int, val, y []float64, err error
 	if p.Rows < 1 || p.NNZ < 0 || p.Dim < 1 {
 		return nil, nil, nil, nil, fmt.Errorf("dist: inline shard geometry rows=%d nnz=%d dim=%d invalid", p.Rows, p.NNZ, p.Dim)
 	}
-	raw, err := base64.StdEncoding.DecodeString(p.B64)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("dist: inline shard payload: %w", err)
-	}
+	raw := p.Payload
 	want := 8 * (2*p.NNZ + 2*p.Rows + 1)
 	if len(raw) != want {
 		return nil, nil, nil, nil, fmt.Errorf("dist: inline shard payload holds %d bytes, want %d", len(raw), want)

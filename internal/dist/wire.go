@@ -81,6 +81,8 @@ const (
 	PathShard = "/dist/shard"
 	// PathEpoch runs one epoch of an installed shard (POST).
 	PathEpoch = "/dist/epoch"
+	// PathRelease drops every shard a worker holds for a job (POST).
+	PathRelease = "/dist/release"
 )
 
 // Vec is a model vector on the wire: the base64 encoding of the
@@ -158,9 +160,12 @@ type InlinePayload struct {
 	// the sparse kernel, a dense-tier one on the dense kernel. The flag
 	// mirrors the coordinator-side source so the distributed run picks
 	// the same kernel as the single-process run it must match.
-	Sparse bool   `json:"sparse,omitempty"`
-	B64    string `json:"b64"`
-	CRC    uint32 `json:"crc"`
+	Sparse bool `json:"sparse,omitempty"`
+	// Payload travels as a base64 string (encoding/json's form for
+	// bytes), which JSON encodes and decodes in place — a shard is
+	// megabytes, and every job ships each shard once.
+	Payload []byte `json:"b64"`
+	CRC     uint32 `json:"crc"`
 }
 
 // ShardManifest describes one shard: its index, its global row range,
@@ -287,6 +292,22 @@ type EpochResponse struct {
 	// the coordinator advances the shard's T0 by it.
 	Updates int `json:"updates"`
 	Passes  int `json:"passes"`
+}
+
+// ReleaseRequest asks a worker to drop every shard it holds for Job
+// and close their data readers. Releasing a job the worker does not
+// hold is not an error, so a release can be repeated or sent to a
+// worker that never received a shard.
+type ReleaseRequest struct {
+	Version int    `json:"version"`
+	Job     string `json:"job"`
+}
+
+// ReleaseResponse reports how many shards the release dropped.
+type ReleaseResponse struct {
+	Version int    `json:"version"`
+	Job     string `json:"job"`
+	Shards  int    `json:"shards"`
 }
 
 // HealthResponse is the worker handshake: protocol version plus a

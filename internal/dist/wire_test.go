@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -80,7 +81,7 @@ func TestInlinePayloadFailClosed(t *testing.T) {
 
 	mutations := map[string]func(*InlinePayload){
 		"bad crc":       func(p *InlinePayload) { p.CRC ^= 1 },
-		"bad base64":    func(p *InlinePayload) { p.B64 = "***" },
+		"short payload": func(p *InlinePayload) { p.Payload = p.Payload[:len(p.Payload)-8] },
 		"wrong rows":    func(p *InlinePayload) { p.Rows = 3 },
 		"wrong nnz":     func(p *InlinePayload) { p.NNZ = 5 },
 		"zero dim":      func(p *InlinePayload) { p.Dim = 0 },
@@ -92,6 +93,12 @@ func TestInlinePayloadFailClosed(t *testing.T) {
 		if _, _, _, _, err := p.decode(); err == nil {
 			t.Errorf("%s: decode accepted a corrupt payload", name)
 		}
+	}
+	// Malformed base64 fails at the wire decode, before any payload
+	// check runs.
+	var p InlinePayload
+	if err := json.Unmarshal([]byte(`{"rows":2,"nnz":3,"dim":3,"b64":"***","crc":0}`), &p); err == nil {
+		t.Error("bad base64: wire decode accepted it")
 	}
 }
 

@@ -61,11 +61,13 @@ type shardState struct {
 //	GET  /dist/healthz — liveness + protocol handshake
 //	POST /dist/shard   — install (or replace) a shard assignment
 //	POST /dist/epoch   — advance an installed shard one merge epoch
+//	POST /dist/release — drop every shard of a finished job
 func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathHealthz, wk.handleHealthz)
 	mux.HandleFunc(PathShard, wk.handleShard)
 	mux.HandleFunc(PathEpoch, wk.handleEpoch)
+	mux.HandleFunc(PathRelease, wk.handleRelease)
 	return mux
 }
 
@@ -73,18 +75,41 @@ func (wk *Worker) Handler() http.Handler {
 // readers). The worker is unusable afterwards.
 func (wk *Worker) Close() error {
 	wk.mu.Lock()
-	defer wk.mu.Unlock()
+	jobs := wk.jobs
+	wk.jobs = make(map[string]map[int]*shardState)
+	wk.mu.Unlock()
 	var first error
-	for _, shards := range wk.jobs {
-		for _, st := range shards {
-			if st.closer != nil {
-				if err := st.closer.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
+	for _, shards := range jobs {
+		if err := closeShards(shards); err != nil && first == nil {
+			first = err
 		}
 	}
-	wk.jobs = make(map[string]map[int]*shardState)
+	return first
+}
+
+// release drops job's shards and closes their readers, returning how
+// many it dropped (0 for a job the worker does not hold).
+func (wk *Worker) release(job string) (int, error) {
+	wk.mu.Lock()
+	shards := wk.jobs[job]
+	delete(wk.jobs, job)
+	wk.mu.Unlock()
+	return len(shards), closeShards(shards)
+}
+
+// closeShards closes the shards' readers, waiting for any epoch still
+// running on them, and returns the first close error.
+func closeShards(shards map[int]*shardState) error {
+	var first error
+	for _, st := range shards {
+		st.mu.Lock()
+		if st.closer != nil {
+			if err := st.closer.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		st.mu.Unlock()
+	}
 	return first
 }
 
@@ -218,6 +243,23 @@ func (wk *Worker) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		resp.WAvg = &v
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+func (wk *Worker) handleRelease(w http.ResponseWriter, r *http.Request) {
+	var req ReleaseRequest
+	if !decodeRequest(w, r, &req) {
+		return
+	}
+	if err := checkVersion(req.Version); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	n, err := wk.release(req.Job)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "dist: releasing job %q: %v", req.Job, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ReleaseResponse{Version: ProtocolVersion, Job: req.Job, Shards: n})
 }
 
 // runEpoch advances the shard under its own lock. Two modes, mirroring

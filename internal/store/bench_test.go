@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -190,23 +191,40 @@ func TestStoreEpochOverhead(t *testing.T) {
 	w := kddWorkload(t)
 
 	// Warm both paths (page cache, arenas, branch predictors), then
-	// take the minimum of alternating runs: the minimum is the cleanest
-	// estimator of the true cost under CI scheduling noise.
+	// estimate the overhead as the median ratio over interleaved pairs
+	// of epochs. One epoch is a few milliseconds, short next to the
+	// drift of a shared machine's load; 201 pairs keep the median's
+	// run-to-run spread at a few tenths of a percent.
 	runEpoch(t, w.ds)
 	runEpoch(t, w.rd)
-	const rounds = 7
-	mem, disk := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < rounds; i++ {
-		if d := runEpoch(t, w.ds); d < mem {
-			mem = d
-		}
-		if d := runEpoch(t, w.rd); d < disk {
-			disk = d
-		}
-	}
-	ratio := float64(disk) / float64(mem)
-	t.Logf("epoch: in-memory %v, store-backed %v, ratio %.3f", mem, disk, ratio)
+	const pairs = 201
+	ratio, q1, q3 := medianPairRatio(pairs,
+		func() time.Duration { return runEpoch(t, w.ds) },
+		func() time.Duration { return runEpoch(t, w.rd) })
+	t.Logf("epoch: store-backed/in-memory median %.3f over %d pairs (quartiles %.3f–%.3f)", ratio, pairs, q1, q3)
 	if ratio > 1.15 {
 		t.Fatalf("store-backed epoch is %.1f%% slower than in-memory, budget is 15%%", (ratio-1)*100)
 	}
+}
+
+// medianPairRatio times base and variant in n adjacent pairs, swapping
+// which runs first on every other pair, and returns the median of the
+// per-pair ratios variant/base with their quartiles. Load from other
+// processes drifts slowly next to one short pair, so it scales both
+// halves of a pair alike and cancels in the ratio; a burst that does
+// not cancel disturbs only the few pairs it overlaps, which the median
+// ignores.
+func medianPairRatio(n int, base, variant func() time.Duration) (median, q1, q3 float64) {
+	ratios := make([]float64, n)
+	for i := range ratios {
+		var b, v time.Duration
+		if i%2 == 0 {
+			b, v = base(), variant()
+		} else {
+			v, b = variant(), base()
+		}
+		ratios[i] = float64(v) / float64(b)
+	}
+	sort.Float64s(ratios)
+	return ratios[n/2], ratios[n/4], ratios[3*n/4]
 }

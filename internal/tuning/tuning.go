@@ -57,27 +57,27 @@ func PaperGrid() []Params {
 // on the exponential-mechanism pick (Algorithm 3, line 5).
 type TrainFunc func(part *data.Dataset, p Params) (eval.Classifier, error)
 
-// EngineTrainFunc adapts core.Train — and through it the execution
+// EngineTrainFunc adapts core.TrainCtx — and through it the execution
 // engine (internal/engine) — into a TrainFunc for binary linear
-// models: the tuple's (k, b) become Passes/Batch, λ parameterizes the
-// loss via newLoss, and base carries everything else (budget, step
-// family, execution strategy and worker count, randomness — and, for
-// PrivateCtx runs, the context and accountant: base.Ctx makes every
-// candidate's training cancellable, and base.Accountant makes each
-// candidate reserve its own training budget). When the resulting loss
-// is strongly convex and base.Radius is zero, the paper's R = 1/λ
-// convention (§4.3) is applied. This is the canonical way to make a
-// tuning run — every candidate of the grid — execute under a chosen
-// engine strategy.
-func EngineTrainFunc(newLoss func(lambda float64) loss.Function, base core.Options) TrainFunc {
+// models: every candidate trains under ctx, the tuple's (k, b) become
+// WithPasses/WithBatch, λ parameterizes the loss via newLoss, and base
+// carries everything else (budget, step family, execution strategy and
+// worker count, randomness — and, for PrivateCtx runs, the accountant
+// each candidate reserves its own training budget from). When the
+// resulting loss is strongly convex, the paper's R = 1/λ convention
+// (§4.3) is applied unless base sets WithRadius. This is the canonical
+// way to make a tuning run — every candidate of the grid — execute
+// under a chosen engine strategy.
+func EngineTrainFunc(ctx context.Context, newLoss func(lambda float64) loss.Function, base ...core.Option) TrainFunc {
 	return func(part *data.Dataset, p Params) (eval.Classifier, error) {
-		opt := base
-		opt.Passes, opt.Batch = p.K, p.B
 		f := newLoss(p.Lambda)
-		if f.Params().StronglyConvex() && opt.Radius == 0 && p.Lambda > 0 {
-			opt.Radius = 1 / p.Lambda
+		opts := make([]core.Option, 0, len(base)+3)
+		if f.Params().StronglyConvex() && p.Lambda > 0 {
+			opts = append(opts, core.WithRadius(1/p.Lambda))
 		}
-		res, err := core.Train(part, f, opt)
+		opts = append(opts, base...)
+		opts = append(opts, core.WithPasses(p.K), core.WithBatch(p.B))
+		res, err := core.TrainCtx(ctx, part, f, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -108,8 +108,8 @@ func Private(d *data.Dataset, grid []Params, budget dp.Budget, train TrainFunc, 
 
 // PrivateCtx is Algorithm 3 made cancellable and accountable: the
 // context is checked before each candidate's training run (and flows
-// into the runs themselves when train was built from a base
-// core.Options carrying it — EngineTrainFunc preserves it), and when
+// into the runs themselves when train was built with it, as
+// EngineTrainFunc's ctx argument does), and when
 // acct is non-nil the tuner's own spend — the ε of the exponential-
 // mechanism pick, line 5 — is reserved against it before any work,
 // failing closed on overdraw.
